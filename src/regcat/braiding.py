@@ -14,13 +14,14 @@ of any triple is determined on both sides and unequal.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Optional, Union
 
 from .core import FinMap, FiniteSet, ProductSet, compose, identity
-from .errors import CarrierTooLarge, NotIdempotent, TypeMismatch
-from .inverses import section_inner_inverse
+from .errors import CarrierTooLarge, NotIdempotent, SearchSpaceTooLarge, TypeMismatch
+from .inverses import DEFAULT_MAX_SPACE, section_inner_inverse
 
 
 @dataclass(frozen=True)
@@ -283,31 +284,169 @@ def enumerate_idempotents(X: FiniteSet) -> list[FinMap]:
     return out
 
 
-def _solve_branch(args):
-    """Enumerate solutions with a fixed first table entry (worker task)."""
-    s, e, first, bijective = args
-    n2 = s * s
-    triples = [(x, y, z) for x in range(s) for y in range(s) for z in range(s)]
-    table = [-1] * n2
-    table[0] = first
-    if not _consistent(s, table, e, triples):
-        return []
-    out = []
+def _lookups(s: int, e) -> tuple:
+    """Index lists that let the triple kernel avoid divmod and products.
 
-    def dfs(pos: int, used: frozenset) -> None:
-        if pos == n2:
-            out.append(tuple(table))
-            return
-        for v in range(n2):
-            if bijective and v in used:
+    For a braiding entry p = s*a + b: hi[p] = a, lo[p] = b, slo[p] = s*b,
+    sehi[p] = s*e[a], elo[p] = e[b], ehi[p] = e[a].
+    """
+    hi = [p // s for p in range(s * s)]
+    lo = [p % s for p in range(s * s)]
+    slo = [s * b for b in lo]
+    sehi = [s * e[a] for a in hi]
+    return hi, lo, slo, sehi, [e[b] for b in lo], [e[a] for a in hi]
+
+
+def _triple_constants(s: int, e) -> list[tuple[int, int, int, int]]:
+    """Per-triple constants (s*x+y, e[z], s*y+z, s*e[x]) in lex order of (x, y, z)."""
+    return [
+        (s * x + y, e[z], s * y + z, s * e[x])
+        for x in range(s)
+        for y in range(s)
+        for z in range(s)
+    ]
+
+
+def _first_violation(table, watch, lookups) -> int:
+    """1-based position in ``watch`` of the first triple whose two sides
+    disagree on a component determined on both, or 0 if there is none.
+
+    The same evaluation as ``_ybe_sides`` on constants from
+    ``_triple_constants``: each side reads at most three entries and every
+    comparable component needs the second entry of both sides.
+    """
+    hi, lo, slo, sehi, elo, ehi = lookups
+    i = 0
+    for ia, ez, ib, sex in watch:
+        i += 1
+        p = table[ia]
+        if p < 0:
+            continue
+        q = table[slo[p] + ez]
+        if q < 0:
+            continue
+        p2 = table[ib]
+        if p2 < 0:
+            continue
+        q2 = table[sex + hi[p2]]
+        if q2 < 0:
+            continue
+        r2 = table[slo[q2] + elo[p2]]
+        if r2 >= 0 and elo[q] != lo[r2]:
+            return i
+        r = table[sehi[p] + hi[q]]
+        if r >= 0 and (hi[r] != ehi[q2] or (r2 >= 0 and lo[r] != hi[r2])):
+            return i
+    return 0
+
+
+def _reading(table, pos: int, triples, lookups) -> list:
+    """The triples whose verdict can change when the unassigned ``table[pos]``
+    gets a value.
+
+    Evaluating a triple only reads table entries, and each side stops at its
+    first unassigned one, so only a side stopped at ``pos`` can move.  A side
+    stopped before its second entry anywhere else leaves nothing to compare,
+    so such triples are left out as well.
+    """
+    hi, _, slo, sehi, elo, _ = lookups
+    out = []
+    for t in triples:
+        ia, ez, ib, sex = t
+        p = table[ia]
+        if p < 0:
+            if ia != pos:
                 continue
+            hit = True
+        else:
+            j = slo[p] + ez
+            q = table[j]
+            if q < 0:
+                if j != pos:
+                    continue
+                hit = True
+            else:
+                hit = sehi[p] + hi[q] == pos
+        p = table[ib]
+        if p < 0:
+            if ib != pos:
+                continue
+            hit = True
+        else:
+            j = sex + hi[p]
+            q = table[j]
+            if q < 0:
+                if j != pos:
+                    continue
+                hit = True
+            elif slo[q] + elo[p] == pos:
+                hit = True
+        if hit:
+            out.append(t)
+    return out
+
+
+class _OverBudget(Exception):
+    """A branch tested more candidate tables than its budget."""
+
+
+def _solve_branch(args):
+    """Solutions with a fixed first table entry (worker task).
+
+    Returns ``(found, nodes, triples)``: the solution tables in lex order, or
+    only their number under ``count_only``; the candidate tables tested; and
+    the triple evaluations spent on them.  A branch stops once ``nodes``
+    exceeds ``budget``.
+
+    Entries are assigned in index order.  Each candidate value re-checks only
+    the triples ``_reading`` picks for its position; the rest kept the verdict
+    they had at the parent, which passed.  Position 0 starts from the empty
+    table, so the root gets the same exact check.
+    """
+    s, e, first, bijective, count_only, budget = args
+    n2 = s * s
+    lookups = _lookups(s, e)
+    # Entries below pos are the assigned ones, so a triple whose first read on
+    # either side lies beyond pos is stopped there and cannot be watched yet.
+    triples = _triple_constants(s, e)
+    in_reach = [[t for t in triples if t[0] <= pos and t[2] <= pos] for pos in range(n2)]
+    table = [-1] * n2
+    used = [False] * n2
+    found = 0 if count_only else []
+    nodes = evals = 0
+    values = range(n2)
+
+    def step(pos: int, candidates) -> None:
+        nonlocal found, nodes, evals
+        watch = _reading(table, pos, in_reach[pos], lookups)
+        width = len(watch)
+        for v in candidates:
+            if bijective and used[v]:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise _OverBudget
             table[pos] = v
-            if _consistent(s, table, e, triples):
-                dfs(pos + 1, used | {v} if bijective else used)
+            bad = _first_violation(table, watch, lookups)
+            evals += bad or width
+            if bad:
+                continue
+            if pos + 1 == n2:
+                if count_only:
+                    found += 1
+                else:
+                    found.append(tuple(table))
+            else:
+                used[v] = True
+                step(pos + 1, values)
+                used[v] = False
         table[pos] = -1
 
-    dfs(1, frozenset([first]) if bijective else frozenset())
-    return out
+    try:
+        step(0, (first,))
+    except _OverBudget:
+        pass
+    return found, nodes, evals
 
 
 @dataclass(frozen=True)
@@ -319,12 +458,15 @@ class YbeProblem:
     max_size: int = 3
     jobs: int = 1
     count_only: bool = False
+    max_nodes: int = DEFAULT_MAX_SPACE  # bound on candidate tables tested
 
 
 @dataclass(frozen=True)
 class YbeSolutionSet:
     solutions: list[tuple[Braiding, FinMap]]
     count: int
+    nodes: int = 0  # candidate tables tested, one root per branch included
+    triples: int = 0  # triple evaluations spent on them
 
 
 def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
@@ -332,7 +474,9 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
 
     Candidate braidings are enumerated table-entry by table-entry in
     lexicographic order; output is ordered lexicographically in (e, B) and is
-    identical regardless of the worker count.
+    identical regardless of the worker count, and so are the work counters.
+    Raises SearchSpaceTooLarge once more than ``max_nodes`` candidate tables
+    have been tested.
     """
     X = problem.carrier
     s = X.cardinality
@@ -340,6 +484,8 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
         raise CarrierTooLarge(s, problem.max_size)
     if problem.mode not in ("classical", "regular"):
         raise ValueError(f"unknown mode {problem.mode!r}")
+    if problem.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {problem.jobs}")
 
     if problem.mode == "classical" or problem.e_spec == "identity":
         es = [identity(X)]
@@ -351,26 +497,36 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
     else:
         raise ValueError(f"bad obstructor spec {problem.e_spec!r}")
 
-    n2 = s * s
     if s == 0:
         # one empty braiding, vacuously a solution
+        if problem.max_nodes < 1:
+            raise SearchSpaceTooLarge(1, problem.max_nodes, hint=None)
         b = braiding_from_table("B0", X, X, ())
         sols = [(b, identity(X))]
-        return YbeSolutionSet([] if problem.count_only else sols, 1)
+        return YbeSolutionSet([] if problem.count_only else sols, 1, nodes=1)
 
+    # Every branch gets the whole budget and the running total is checked in
+    # task order, so whether the bound is hit does not depend on the jobs.
+    n2 = s * s
+    tasks = [
+        (s, e.table, first, problem.require_bijective, problem.count_only, problem.max_nodes)
+        for e in es
+        for first in range(n2)
+    ]
     solutions: list[tuple[Braiding, FinMap]] = []
-    count = 0
-    for e in es:
-        tasks = [(s, tuple(e.table), first, problem.require_bijective) for first in range(n2)]
-        if problem.jobs > 1:
-            with Pool(problem.jobs) as pool:
-                branches = pool.map(_solve_branch, tasks)
-        else:
-            branches = [_solve_branch(t) for t in tasks]
-        for tables in branches:
-            count += len(tables)
-            if not problem.count_only:
-                for k, tab in enumerate(tables):
-                    b = braiding_from_table(f"B{len(solutions)}", X, X, tab)
-                    solutions.append((b, e))
-    return YbeSolutionSet(solutions, count)
+    count = nodes = triples = 0
+    with Pool(problem.jobs) if problem.jobs > 1 else nullcontext() as pool:
+        branches = pool.imap(_solve_branch, tasks) if pool else map(_solve_branch, tasks)
+        for k, (found, n, t) in enumerate(branches):
+            nodes += n
+            triples += t
+            if nodes > problem.max_nodes:
+                raise SearchSpaceTooLarge(nodes, problem.max_nodes, hint=None)
+            if problem.count_only:
+                count += found
+                continue
+            count += len(found)
+            e = es[k // n2]
+            for tab in found:
+                solutions.append((braiding_from_table(f"B{len(solutions)}", X, X, tab), e))
+    return YbeSolutionSet(solutions, count, nodes, triples)

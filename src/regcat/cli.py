@@ -319,6 +319,10 @@ def _cmd_braid_check(ws: Workspace, ns) -> Report:
 
 
 def _cmd_ybe(ws: Optional[Workspace], ns) -> Report:
+    if ns.size < 0:
+        raise UsageError(f"--size must be at least 0, got {ns.size}")
+    if ns.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {ns.jobs}")
     carrier = FiniteSet("X", tuple(f"x{i}" for i in range(ns.size)))
     if ns.e == "identity":
         e_spec = "identity"
@@ -334,9 +338,10 @@ def _cmd_ybe(ws: Optional[Workspace], ns) -> Report:
         mode=ns.mode,
         e_spec=e_spec,
         require_bijective=ns.bijective,
-        max_size=max(ns.size, 3),
+        max_size=ns.size,
         jobs=ns.jobs,
         count_only=ns.count_only,
+        max_nodes=ns.max_space,
     )
     sols = br.solve_ybe(problem)
     result = {"size": ns.size, "mode": ns.mode, "bijective": ns.bijective}
@@ -349,7 +354,7 @@ def _cmd_ybe(ws: Optional[Workspace], ns) -> Report:
         command="ybe",
         ok=True,
         result=result,
-        counts={"solutions": sols.count},
+        counts={"solutions": sols.count, "nodes": sols.nodes, "triples": sols.triples},
     )
 
 

@@ -41,13 +41,11 @@ class SubsetDomainMismatch(RegcatError):
 
 
 class SearchSpaceTooLarge(RegcatError):
-    def __init__(self, size, bound):
+    def __init__(self, size, bound, hint="pass a limit to truncate"):
         self.size = size
         self.bound = bound
-        super().__init__(
-            f"search space of {size} candidates exceeds the bound {bound}; "
-            "pass a limit to truncate"
-        )
+        msg = f"search space of {size} candidates exceeds the bound {bound}"
+        super().__init__(f"{msg}; {hint}" if hint else msg)
 
 
 class NoInverseExists(RegcatError):

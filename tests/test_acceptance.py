@@ -255,7 +255,9 @@ def test_criterion_10_solver_scale():
         YbeProblem(X, mode="regular", e_spec="identity", count_only=True, jobs=8)
     )
     ok = one.count == eight.count == 5707
-    report(10, ok, f"size-3 count-only solve: {one.count} with jobs 1 and 8")
+    # the node count of the full-check search: the incremental check prunes exactly as it did
+    ok = ok and one.nodes == eight.nodes == 716697 and one.triples == eight.triples <= 2_000_000
+    report(10, ok, f"size-3 count-only solve: {one.count} with jobs 1 and 8, {one.nodes} nodes")
 
 
 def test_criterion_11_dsl_determinism(tmp_path):

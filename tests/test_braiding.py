@@ -1,12 +1,18 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import S, fm
 from regcat.braiding import (
     Braiding,
     ObstructorAssignment,
     YbeProblem,
+    _consistent,
+    _first_violation,
+    _lookups,
+    _reading,
+    _triple_constants,
     braiding_from_table,
     canonical_braiding_star,
     check_prebraid_regularity,
@@ -20,7 +26,7 @@ from regcat.braiding import (
     ybe_side_maps,
 )
 from regcat.core import FinMap, ProductSet, identity
-from regcat.errors import CarrierTooLarge, NotIdempotent, TypeMismatch
+from regcat.errors import CarrierTooLarge, NotIdempotent, SearchSpaceTooLarge, TypeMismatch
 
 A2 = S("A", 2)
 SWAP = braiding_from_table("swap", A2, A2, (0, 2, 1, 3))
@@ -246,3 +252,107 @@ class TestSolveYbe:
     def test_carrier_too_large(self):
         with pytest.raises(CarrierTooLarge):
             solve_ybe(YbeProblem(S("U", 4), max_size=3))
+
+    def test_counters_agree_across_jobs(self):
+        seq = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True))
+        par = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True, jobs=2))
+        assert (seq.count, seq.nodes, seq.triples) == (par.count, par.nodes, par.triples)
+        # 3 idempotents x 4 roots, plus 4 candidates at every consistent inner node
+        assert seq.nodes > 12 and seq.triples > 0
+
+    def test_count_only_matches_listing(self):
+        listed = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all"))
+        counted = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True))
+        assert (listed.count, listed.nodes, listed.triples) == (
+            counted.count, counted.nodes, counted.triples
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_node_budget(self, jobs):
+        total = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True)).nodes
+        for budget in (0, 10, total - 1):
+            with pytest.raises(SearchSpaceTooLarge):
+                solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", jobs=jobs, max_nodes=budget))
+        res = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", jobs=jobs, max_nodes=total))
+        assert res.count == 141 and res.nodes == total
+
+    def test_node_budget_stops_large_carrier(self):
+        with pytest.raises(SearchSpaceTooLarge):
+            solve_ybe(YbeProblem(S("U", 4), max_size=4, count_only=True, max_nodes=1000))
+
+    def test_bad_jobs(self):
+        with pytest.raises(ValueError):
+            solve_ybe(YbeProblem(A2, jobs=0))
+
+
+# --- incremental consistency check ----------------------------------------------
+
+IDEMPOTENT_TABLES = {s: [e.table for e in enumerate_idempotents(S("U", s))] for s in (1, 2, 3)}
+
+
+@st.composite
+def partial_tables(draw):
+    """A carrier size, an idempotent, a partial braiding table with -1 for
+    unassigned entries, an unassigned position and a value for it."""
+    s = draw(st.integers(min_value=1, max_value=3))
+    e = draw(st.sampled_from(IDEMPOTENT_TABLES[s]))
+    n2 = s * s
+    entry = st.one_of(st.just(-1), st.integers(min_value=0, max_value=n2 - 1))
+    table = draw(st.lists(entry, min_size=n2, max_size=n2))
+    pos = draw(st.integers(min_value=0, max_value=n2 - 1))
+    table[pos] = -1
+    return s, e, table, pos, draw(st.integers(min_value=0, max_value=n2 - 1))
+
+
+def _index_triples(s):
+    return list(product(range(s), repeat=3))
+
+
+class TestIncrementalCheck:
+    @settings(max_examples=300)
+    @given(partial_tables())
+    def test_kernel_matches_ybe_sides(self, case):
+        s, e, table, pos, v = case
+        table[pos] = v
+        bad = _first_violation(table, _triple_constants(s, e), _lookups(s, e))
+        verdicts = [_consistent(s, table, e, [t]) for t in _index_triples(s)]
+        assert bad == (verdicts.index(False) + 1 if False in verdicts else 0)
+
+    @settings(max_examples=300)
+    @given(partial_tables())
+    def test_unwatched_triples_keep_their_verdict(self, case):
+        s, e, table, pos, v = case
+        constants = _triple_constants(s, e)
+        watch = set(_reading(table, pos, constants, _lookups(s, e)))
+        before = [_consistent(s, table, e, [t]) for t in _index_triples(s)]
+        table[pos] = v
+        after = [_consistent(s, table, e, [t]) for t in _index_triples(s)]
+        for c, b, a in zip(constants, before, after):
+            assert c in watch or a == b
+
+    @settings(max_examples=300)
+    @given(partial_tables())
+    def test_incremental_verdict_equals_full_check(self, case):
+        s, e, table, pos, v = case
+        triples = _index_triples(s)
+        lookups = _lookups(s, e)
+        if not _consistent(s, table, e, triples):
+            return  # the incremental check assumes a consistent parent
+        watch = _reading(table, pos, _triple_constants(s, e), lookups)
+        table[pos] = v
+        assert (_first_violation(table, watch, lookups) == 0) == _consistent(s, table, e, triples)
+
+    def test_incremental_verdict_on_every_size2_prefix(self):
+        # every consistent prefix the search can meet, every value at the next position
+        for e in IDEMPOTENT_TABLES[2]:
+            lookups, constants, triples = _lookups(2, e), _triple_constants(2, e), _index_triples(2)
+            for n in range(4):
+                for prefix in product(range(4), repeat=n):
+                    table = list(prefix) + [-1] * (4 - n)
+                    if not _consistent(2, table, e, triples):
+                        continue
+                    watch = _reading(table, n, constants, lookups)
+                    for v in range(4):
+                        table[n] = v
+                        incremental = _first_violation(table, watch, lookups) == 0
+                        assert incremental == _consistent(2, table, e, triples)

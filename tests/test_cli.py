@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -175,6 +176,34 @@ class TestBraidCommands:
     def test_ybe_bad_e_spec(self, capsys):
         code, _ = run(capsys, "ybe", "--size", "2", "--mode", "regular", "--e", "huh")
         assert code == 2
+
+    def test_ybe_negative_size_is_usage_error(self, capsys):
+        code, out = run(capsys, "ybe", "--size", "-1", "--mode", "regular", "--count-only")
+        assert code == 2 and out == ""
+
+    def test_ybe_zero_jobs_is_usage_error(self, capsys):
+        code, out = run(
+            capsys, "ybe", "--size", "2", "--mode", "regular", "--count-only", "--jobs", "0"
+        )
+        assert code == 2 and out == ""
+
+    def test_ybe_max_space_bounds_the_search(self, capsys):
+        start = time.perf_counter()
+        code, out = run(
+            capsys, "ybe", "--size", "4", "--mode", "regular", "--count-only",
+            "--max-space", "10",
+        )
+        assert code == 3 and out == ""
+        assert time.perf_counter() - start < 10
+
+    def test_ybe_reports_work_counters(self, capsys):
+        argv = ("ybe", "--size", "2", "--mode", "regular", "--e", "all")
+        _, one = run_json(capsys, *argv, "--jobs", "1")
+        _, two = run_json(capsys, *argv, "--jobs", "2")
+        assert one["counts"]["solutions"] == 141
+        assert one["counts"]["nodes"] > 0 and one["counts"]["triples"] > 0
+        one.pop("elapsed_ms"), two.pop("elapsed_ms")
+        assert json.dumps(one) == json.dumps(two)
 
 
 class TestTopLevel:
