@@ -1,16 +1,16 @@
 """Command-line driver: load a workspace file, run one check, emit a report.
 
 Exit codes: 0 the checked property holds / the search completed, 1 the
-property fails (the report carries at least one witness), 2 usage or parse
-error, 3 resource limit or internal error.
+property fails (the report carries at least one witness), 2 usage, parse or
+input error, 3 a resource limit was exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,12 +18,7 @@ from . import braiding as br
 from . import chains, diagrams, inverses
 from .core import FinMap, FiniteSet, classify_map
 from .dsl import Workspace, parse_workspace
-from .errors import (
-    CarrierTooLarge,
-    RegcatError,
-    SearchSpaceTooLarge,
-    WorkspaceError,
-)
+from .errors import CarrierTooLarge, RegcatError, SearchSpaceTooLarge
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
@@ -32,11 +27,17 @@ RESOURCE_ERROR = 3
 @dataclass
 class Report:
     command: str
-    ok: bool
     result: dict
     witnesses: list = field(default_factory=list)
     counts: dict = field(default_factory=dict)
-    elapsed_ms: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return not self.witnesses
+
+    @property
+    def exit_code(self) -> int:
+        return 0 if self.ok else 1
 
     def to_json(self) -> str:
         payload = {
@@ -45,7 +46,6 @@ class Report:
             "result": self.result,
             "witnesses": sorted(self.witnesses, key=lambda w: json.dumps(w, sort_keys=True)),
             "counts": self.counts,
-            "elapsed_ms": self.elapsed_ms,
         }
         return json.dumps(payload, indent=2)
 
@@ -58,10 +58,6 @@ class Report:
         for w in self.witnesses:
             lines.append(f"  witness: {w}")
         return "\n".join(lines)
-
-    @property
-    def exit_code(self) -> int:
-        return 1 if self.witnesses else 0
 
 
 def _map_as_labels(m: FinMap) -> dict:
@@ -82,7 +78,6 @@ def _cmd_check_map(ws: Workspace, ns) -> Report:
     inv = inverses.invertibility_class(f)
     return Report(
         command="check-map",
-        ok=True,
         result={
             "map": ns.map,
             "injective": cls.injective,
@@ -104,7 +99,6 @@ def _cmd_inverses(ws: Workspace, ns) -> Report:
         result["inverses"] = [_map_as_labels(g) for g in enum.maps]
     return Report(
         command="inverses",
-        ok=True,
         result=result,
         counts={"inverses": enum.count},
     )
@@ -112,6 +106,8 @@ def _cmd_inverses(ws: Workspace, ns) -> Report:
 
 def _chain_from_names(ws: Workspace, base: FinMap, star_names: str) -> chains.StarChain:
     stars = [ws.require_map(n) for n in star_names.split(",") if n]
+    if not stars:
+        raise UsageError("--stars must name at least one map")
     return chains.make_chain(base, stars)
 
 
@@ -121,7 +117,6 @@ def _cmd_chain(ws: Workspace, ns) -> Report:
         found = chains.find_chains(f, ns.n, limit=ns.limit, max_space=ns.max_space)
         return Report(
             command="chain",
-            ok=True,
             result={
                 "map": ns.map,
                 "order": ns.n,
@@ -132,15 +127,12 @@ def _cmd_chain(ws: Workspace, ns) -> Report:
             },
             counts={"chains": len(found.chains)},
         )
-    if not ns.stars:
-        raise UsageError("chain requires either --search or --stars")
     chain = _chain_from_names(ws, f, ns.stars)
     if chain.order != ns.n:
         raise UsageError(f"--n {ns.n} does not match {chain.order} stars")
     verdict = chains.check_chain(chain)
     return Report(
         command="chain",
-        ok=verdict.valid,
         result={
             "map": ns.map,
             "order": chain.order,
@@ -160,13 +152,11 @@ def _cmd_projector(ws: Workspace, ns) -> Report:
     f = ws.require_map(ns.map)
     chain = _chain_from_names(ws, f, ns.stars)
     hp = chains.higher_projector(chain)
-    ok = hp.idempotent and hp.absorption
     witnesses = []
-    if not ok:
+    if not (hp.idempotent and hp.absorption):
         witnesses.append({"projector": _map_as_labels(hp.projector)})
     return Report(
         command="projector",
-        ok=ok,
         result={
             "map": ns.map,
             "order": chain.order,
@@ -181,14 +171,9 @@ def _cmd_projector(ws: Workspace, ns) -> Report:
 
 def _cmd_diagram(ws: Workspace, ns) -> Report:
     d = ws.build_diagram(ns.name)
-    if ns.mode == "commutative":
-        rep = diagrams.is_commutative(d, ns.max_len)
-        ok = rep.commutative
-    else:
-        rep = diagrams.is_semicommutative(d, ns.max_len)
-        ok = rep.semicommutative
+    check = diagrams.is_commutative if ns.mode == "commutative" else diagrams.is_semicommutative
     witnesses = []
-    for v in rep.violations:
+    for v in check(d, ns.max_len).violations:
         if v[0] == "cycle":
             witnesses.append({"kind": "cycle", "cycle": _cycle_as_json(v[1])})
         elif v[0] == "parallel_paths":
@@ -199,8 +184,8 @@ def _cmd_diagram(ws: Workspace, ns) -> Report:
             )
     return Report(
         command="diagram",
-        ok=ok,
-        result={"diagram": ns.name, "mode": ns.mode, "max_len": ns.max_len, "verdict": ok},
+        result={"diagram": ns.name, "mode": ns.mode, "max_len": ns.max_len,
+                "verdict": not witnesses},
         witnesses=witnesses,
     )
 
@@ -216,7 +201,7 @@ def _cmd_obstruction(ws: Workspace, ns) -> Report:
     }
     if rep.witness is not None:
         result["cycle"] = _cycle_as_json(rep.witness)
-    return Report(command="obstruction", ok=True, result=result)
+    return Report(command="obstruction", result=result)
 
 
 def _cmd_cycles3(ws: Workspace, ns) -> Report:
@@ -224,7 +209,6 @@ def _cmd_cycles3(ws: Workspace, ns) -> Report:
     found = diagrams.find_regular_3cycles(d)
     return Report(
         command="cycles3",
-        ok=True,
         result={
             "diagram": ns.name,
             "cycles": [
@@ -278,7 +262,6 @@ def _cmd_functor(ws: Workspace, ns) -> Report:
             )
     return Report(
         command="functor",
-        ok=rep.composition_preserved and rep.e_preserved,
         result={
             "from": ns.src,
             "to": ns.dst,
@@ -294,7 +277,6 @@ def _cmd_braid_check(ws: Workspace, ns) -> Report:
     b = ws.require_braiding(ns.braiding)
     result = {"braiding": ns.braiding}
     witnesses = []
-    ok = True
     cls = classify_map(b.map)
     result["bijective"] = cls.bijective
     if ns.star:
@@ -302,7 +284,6 @@ def _cmd_braid_check(ws: Workspace, ns) -> Report:
         regular = br.check_regular_braiding(b, star)
         result["regular_with_star"] = regular
         if not regular:
-            ok = False
             witnesses.append({"kind": "regularity", "star": ns.star})
     else:
         canon = br.canonical_braiding_star(b)
@@ -313,26 +294,21 @@ def _cmd_braid_check(ws: Workspace, ns) -> Report:
         res = br.check_ybe(b, e, "regular")
         result["ybe_holds"] = res.holds
         if not res.holds:
-            ok = False
             witnesses.append({"kind": "ybe", "triple": list(res.witness)})
-    return Report(command="braid-check", ok=ok, result=result, witnesses=witnesses)
+    return Report(command="braid-check", result=result, witnesses=witnesses)
 
 
 def _cmd_ybe(ws: Optional[Workspace], ns) -> Report:
-    if ns.size < 0:
-        raise UsageError(f"--size must be at least 0, got {ns.size}")
-    if ns.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {ns.jobs}")
     carrier = FiniteSet("X", tuple(f"x{i}" for i in range(ns.size)))
-    if ns.e == "identity":
-        e_spec = "identity"
-    elif ns.e == "all":
-        e_spec = "all"
-    elif ns.e.startswith("table:"):
-        entries = [int(v) for v in ns.e[len("table:"):].split(",")]
-        e_spec = FinMap("e", carrier, carrier, tuple(entries))
+    if ns.mode == "classical" and ns.e != "identity":
+        raise UsageError(f"--mode classical takes only --e identity, got {ns.e!r}")
+    if ns.e in ("identity", "all"):
+        e_spec = ns.e
+    elif re.fullmatch(r"table:[0-9]+(,[0-9]+)*", ns.e):
+        entries = ns.e[len("table:"):].split(",")
+        e_spec = FinMap("e", carrier, carrier, tuple(int(v) for v in entries))
     else:
-        raise UsageError(f"bad --e value {ns.e!r}")
+        raise UsageError(f"bad --e value {ns.e!r}, expected identity, all or table:I,J,...")
     problem = br.YbeProblem(
         carrier=carrier,
         mode=ns.mode,
@@ -352,7 +328,6 @@ def _cmd_ybe(ws: Optional[Workspace], ns) -> Report:
         ]
     return Report(
         command="ybe",
-        ok=True,
         result=result,
         counts={"solutions": sols.count, "nodes": sols.nodes, "triples": sols.triples},
     )
@@ -376,11 +351,28 @@ HANDLERS = {
 }
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse
+
+
+NON_NEGATIVE = _int_at_least(0)
+POSITIVE = _int_at_least(1)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON report")
     common.add_argument(
-        "--max-space", type=int, default=inverses.DEFAULT_MAX_SPACE, dest="max_space",
+        "--max-space", type=NON_NEGATIVE, default=inverses.DEFAULT_MAX_SPACE, dest="max_space",
         help="bound on exhaustive search spaces",
     )
 
@@ -389,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def file_cmd(name: str, **kwargs):
         p = sub.add_parser(name, parents=[common], **kwargs)
-        p.add_argument("file", nargs="?", help="workspace file")
+        p.add_argument("file", help="workspace file")
         return p
 
     p = file_cmd("check-map", help="classify a map and report a regularity witness")
@@ -399,13 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--kind", required=True, choices=list(inverses.INVERSE_KINDS))
     p.add_argument("--count-only", action="store_true", dest="count_only")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=NON_NEGATIVE, default=None)
 
     p = file_cmd("chain", help="check or search star chains")
     p.add_argument("--map", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=POSITIVE, required=True)
     p.add_argument("--search", action="store_true")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=NON_NEGATIVE, default=None)
     p.add_argument("--stars", default="")
 
     p = file_cmd("projector", help="higher projector of a star chain")
@@ -415,12 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = file_cmd("diagram", help="commutativity or semicommutativity check")
     p.add_argument("--name", required=True)
     p.add_argument("--mode", required=True, choices=["commutative", "semicommutative"])
-    p.add_argument("--max-len", type=int, required=True, dest="max_len")
+    p.add_argument("--max-len", type=POSITIVE, required=True, dest="max_len")
 
     p = file_cmd("obstruction", help="least cycle length with non-identity obstructor")
     p.add_argument("--name", required=True)
     p.add_argument("--object", required=True)
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p.add_argument("--max-n", type=POSITIVE, required=True, dest="max_n")
 
     p = file_cmd("cycles3", help="list the regular 3-cycles of a diagram")
     p.add_argument("--name", required=True)
@@ -430,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", required=True, dest="dst")
     p.add_argument("--objects", required=True)
     p.add_argument("--maps", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=POSITIVE, required=True)
 
     p = file_cmd("braid-check", help="symmetry/regularity/YBE checks for a braiding")
     p.add_argument("--braiding", required=True)
@@ -438,55 +430,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", default=None)
 
     p = sub.add_parser("ybe", parents=[common], help="solve the YBE on a fresh carrier")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=NON_NEGATIVE, required=True)
     p.add_argument("--mode", required=True, choices=["classical", "regular"])
     p.add_argument("--e", default="identity")
     p.add_argument("--bijective", action="store_true")
     p.add_argument("--count-only", action="store_true", dest="count_only")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=POSITIVE, default=1)
 
     return parser
 
 
-def run_command(ws: Optional[Workspace], argv) -> tuple[Report, int]:
-    """Dispatch one parsed command against an already-loaded workspace."""
-    ns = build_parser().parse_args(argv)
-    start = time.perf_counter()
-    report = HANDLERS[ns.command](ws, ns)
-    report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    return report, report.exit_code
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    """Parse, load the workspace, run one handler, render; return the exit code."""
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    ws = None
+        return USAGE_ERROR if exc.code else 0
     try:
+        ws = None
         if ns.command != "ybe":
-            if not ns.file:
-                print("error: a workspace file is required", file=sys.stderr)
-                return USAGE_ERROR
             with open(ns.file, encoding="utf-8") as fh:
                 ws = parse_workspace(fh.read())
-        start = time.perf_counter()
         report = HANDLERS[ns.command](ws, ns)
-        report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    except (SearchSpaceTooLarge, CarrierTooLarge) as exc:
+    except (RegcatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return RESOURCE_ERROR
-    except (WorkspaceError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except RegcatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        too_large = isinstance(exc, (SearchSpaceTooLarge, CarrierTooLarge))
+        return RESOURCE_ERROR if too_large else USAGE_ERROR
     print(report.to_json() if ns.json else report.to_text())
     return report.exit_code
 

@@ -17,7 +17,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .core import FinMap, FiniteSet, compose, compose_path, identity, tensor
+from .core import FinMap, FiniteSet, compose, compose_path, tensor
 from .errors import (
     BrokenPath,
     DuplicateName,

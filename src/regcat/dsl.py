@@ -25,6 +25,7 @@ from .braiding import Braiding, braiding_from_table
 from .core import FinMap, FiniteSet, ProductSet, build_map
 from .diagrams import Diagram
 from .errors import (
+    AssignedTwice,
     DslSyntaxError,
     DuplicateAssignment,
     DuplicateName,
@@ -185,6 +186,8 @@ def _parse_map(p: _Parser, ws: Workspace) -> None:
     p.punct("}")
     try:
         ws.maps[name] = build_map(name, dom, cod, pairs)
+    except DuplicateAssignment as exc:
+        raise AssignedTwice(name, exc.label) from None
     except MissingAssignment as exc:
         raise NotTotal(name, exc.label) from None
     except UnknownLabel as exc:
@@ -233,7 +236,7 @@ def _parse_braiding(p: _Parser, ws: Workspace) -> None:
         except UnknownLabel as exc:
             raise UnknownReference(exc.label) from None
         if table[i] is not None:
-            raise DuplicateAssignment(f"({a},{b})")
+            raise AssignedTwice(name, f"({a},{b})")
         table[i] = v
         if p.peek().value != ",":
             break

@@ -133,6 +133,13 @@ class DuplicateName(WorkspaceError):
         super().__init__(f"name {name!r} declared twice")
 
 
+class AssignedTwice(WorkspaceError):
+    def __init__(self, map_name, element):
+        self.map_name = map_name
+        self.element = element
+        super().__init__(f"map {map_name!r} assigns element {element!r} more than once")
+
+
 class NotTotal(WorkspaceError):
     def __init__(self, map_name, element):
         self.map_name = map_name

@@ -15,7 +15,6 @@ from typing import Optional
 from .core import FinMap, all_maps, compose, map_space_size
 from .errors import (
     NoInverseExists,
-    NotAGeneralizedInverse,
     NotAnInnerInverse,
     SearchSpaceTooLarge,
     TypeMismatch,

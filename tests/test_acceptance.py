@@ -5,8 +5,9 @@ even on success).  Every check is backed by an independent brute-force oracle
 or an exact frozen value.
 """
 
-import json
+import io
 import random
+from contextlib import redirect_stdout
 from itertools import product
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from regcat.braiding import (
     solve_ybe,
 )
 from regcat.chains import check_chain, extend_periodic, find_chains
-from regcat.cli import run_command
+from regcat.cli import main
 from regcat.core import compose, identity
 from regcat.diagrams import (
     Diagram,
@@ -260,20 +261,18 @@ def test_criterion_10_solver_scale():
     report(10, ok, f"size-3 count-only solve: {one.count} with jobs 1 and 8, {one.nodes} nodes")
 
 
-def test_criterion_11_dsl_determinism(tmp_path):
+def test_criterion_11_dsl_determinism():
     ok = True
     for p in sorted(FIXTURES.glob("*.rcw")):
         ws = parse_workspace(p.read_text())
         canon = render_workspace(ws)
         if render_workspace(parse_workspace(canon)) != canon:
             ok = False
-    ws = parse_workspace((FIXTURES / "triangle.rcw").read_text())
     outs = []
     for _ in range(3):
-        rep, code = run_command(ws, ["cycles3", "--name", "D", "--json"])
-        payload = json.loads(rep.to_json())
-        payload.pop("elapsed_ms")
-        outs.append(json.dumps(payload))
+        with redirect_stdout(io.StringIO()) as out:
+            code = main(["cycles3", str(FIXTURES / "triangle.rcw"), "--name", "D", "--json"])
+        outs.append(out.getvalue())
     ok = ok and code == 0 and len(set(outs)) == 1
     report(11, ok, "parse/render fixpoint and byte-identical reports")
 

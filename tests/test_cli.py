@@ -1,8 +1,11 @@
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regcat.cli import main
 
@@ -35,7 +38,7 @@ class TestCheckMap:
     def test_json_key_order(self, capsys):
         _, out = run(capsys, "check-map", MAPS, "--map", "f", "--json")
         keys = list(json.loads(out).keys())
-        assert keys == ["command", "ok", "result", "witnesses", "counts", "elapsed_ms"]
+        assert keys == ["command", "ok", "result", "witnesses", "counts"]
 
     def test_unknown_map_is_usage_error(self, capsys):
         code, _ = run(capsys, "check-map", MAPS, "--map", "nope")
@@ -202,7 +205,6 @@ class TestBraidCommands:
         _, two = run_json(capsys, *argv, "--jobs", "2")
         assert one["counts"]["solutions"] == 141
         assert one["counts"]["nodes"] > 0 and one["counts"]["triples"] > 0
-        one.pop("elapsed_ms"), two.pop("elapsed_ms")
         assert json.dumps(one) == json.dumps(two)
 
 
@@ -231,8 +233,114 @@ class TestTopLevel:
         )
         assert code == 0 and out.startswith("diagram: ok")
 
-    def test_json_deterministic_modulo_elapsed(self, capsys):
-        _, rep1 = run_json(capsys, "cycles3", TRIANGLE, "--name", "D")
-        _, rep2 = run_json(capsys, "cycles3", TRIANGLE, "--name", "D")
-        rep1.pop("elapsed_ms"), rep2.pop("elapsed_ms")
-        assert json.dumps(rep1) == json.dumps(rep2)
+    def test_json_byte_identical(self, capsys):
+        _, out1 = run(capsys, "cycles3", TRIANGLE, "--name", "D", "--json")
+        _, out2 = run(capsys, "cycles3", TRIANGLE, "--name", "D", "--json")
+        assert out1 == out2
+
+
+NOT_UTF8 = "<a workspace file that is not UTF-8>"
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ("diagram", TRIANGLE, "--name", "D", "--mode", "commutative", "--max-len", "-3"),
+        ("obstruction", TRIANGLE, "--name", "D", "--object", "X", "--max-n", "-1"),
+        ("inverses", MAPS, "--map", "f", "--kind", "inner", "--limit", "-1"),
+        ("inverses", MAPS, "--map", "f", "--kind", "inner", "--max-space", "-5"),
+        ("chain", MAPS, "--map", "f", "--n", "0", "--search"),
+        ("ybe", "--size", "2", "--mode", "regular", "--e", "table:x,y"),
+        ("check-map", NOT_UTF8, "--map", "f"),
+        ("ybe", "--size", "2", "--mode", "classical", "--e", "table:0,0"),
+        ("projector", MAPS, "--map", "f", "--stars", ","),
+    ])
+    def test_bad_input_is_usage_error(self, argv, tmp_path, capsys):
+        bad = tmp_path / "latin1.rcw"
+        bad.write_bytes("set X = { \u00e9 }\n".encode("latin-1"))
+        code = main([str(bad) if a == NOT_UTF8 else a for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "error:" in err and "Traceback" not in err
+
+
+# argv for main(): every subcommand with its flags, the three fixtures, names
+# declared in them and small integers, negatives included.  Each call stays
+# cheap: --size and --jobs at most 2, short paths and towers.
+SMALL = st.integers(-2, 4).map(str)
+MAPS_IN_FIXTURES = st.sampled_from(["f", "fstar", "g", "h", "e0", "idA"])
+STARS = st.sampled_from(["", "fstar", "fstar,f", "fstar,f,fstar", "f", "g,h", ",,"])
+FLAGS = {
+    "check-map": {"--map": MAPS_IN_FIXTURES},
+    "inverses": {
+        "--map": MAPS_IN_FIXTURES,
+        "--kind": st.sampled_from(["inner", "outer", "generalized", "bogus"]),
+        "--count-only": st.none(),
+        "--limit": SMALL,
+    },
+    "chain": {
+        "--map": MAPS_IN_FIXTURES, "--n": SMALL, "--search": st.none(), "--limit": SMALL,
+        "--stars": STARS,
+    },
+    "projector": {"--map": MAPS_IN_FIXTURES, "--stars": STARS},
+    "diagram": {
+        "--name": st.just("D"),
+        "--mode": st.sampled_from(["commutative", "semicommutative", "bogus"]),
+        "--max-len": SMALL,
+    },
+    "obstruction": {
+        "--name": st.just("D"), "--object": st.sampled_from(["X", "Y", "W"]), "--max-n": SMALL,
+    },
+    "cycles3": {"--name": st.just("D")},
+    "functor": {
+        "--from": st.just("D"),
+        "--to": st.just("D"),
+        "--objects": st.sampled_from(["X=X,Y=Y,Z=Z", "X=Y,Y=Z,Z=X", "X=X", "X", ""]),
+        "--maps": st.sampled_from(["f=f,g=g,h=h", "f=g,g=h,h=f", "f=f", "f", ""]),
+        "--n": SMALL,
+    },
+    "braid-check": {
+        "--braiding": st.sampled_from(["swap", "e0"]),
+        "--star": st.sampled_from(["swap", "e0"]),
+        "--e": MAPS_IN_FIXTURES,
+    },
+    "ybe": {
+        "--size": st.integers(-1, 2).map(str),
+        "--mode": st.sampled_from(["classical", "regular"]),
+        "--e": st.sampled_from(
+            ["identity", "all", "table:0,0", "table:1,1", "table:0,1", "table:1,0",
+             "table:0", "table:x,y", "table:", "huh"]
+        ),
+        "--bijective": st.none(),
+        "--count-only": st.none(),
+        "--jobs": st.integers(-1, 2).map(str),
+    },
+}
+COMMON = {"--json": st.none(), "--max-space": st.sampled_from(["-1", "0", "3", "100000"])}
+OPTIONAL = {
+    "--json", "--max-space", "--count-only", "--limit", "--search", "--star", "--e",
+    "--bijective", "--jobs",
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    if command != "ybe":
+        argv.append(draw(st.sampled_from([MAPS, TRIANGLE, BRAID])))
+    flags = {**COMMON, **FLAGS[command]}
+    chosen = draw(st.fixed_dictionaries(
+        {k: v for k, v in flags.items() if k not in OPTIONAL},
+        optional={k: v for k, v in flags.items() if k in OPTIONAL},
+    ))
+    for flag, value in chosen.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_main_returns_an_exit_code(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)

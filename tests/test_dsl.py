@@ -1,15 +1,16 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from regcat.dsl import parse_workspace, render_workspace
 from regcat.errors import (
+    AssignedTwice,
     DslSyntaxError,
-    DuplicateAssignment,
     DuplicateName,
     NotTotal,
     UnknownReference,
+    WorkspaceError,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -95,8 +96,16 @@ class TestParseErrors:
             parse_workspace("set X = { a, a }")
 
     def test_duplicate_map_pair(self):
-        with pytest.raises(DuplicateAssignment):
+        with pytest.raises(AssignedTwice) as exc:
             parse_workspace("set X = { a }\nmap f : X -> X { a -> a, a -> a }")
+        assert exc.value.map_name == "f" and exc.value.element == "a"
+
+    def test_duplicate_braiding_pair(self):
+        with pytest.raises(AssignedTwice) as exc:
+            parse_workspace(
+                "set A = { a }\nbraiding b : A * A { (a, a) -> (a, a), (a, a) -> (a, a) }"
+            )
+        assert exc.value.map_name == "b" and exc.value.element == "(a,a)"
 
     def test_stray_token(self):
         with pytest.raises(DslSyntaxError):
@@ -105,6 +114,47 @@ class TestParseErrors:
     def test_unknown_diagram_member(self):
         with pytest.raises(UnknownReference):
             parse_workspace("set X = { a }\ndiagram D { f }")
+
+
+# Near-grammatical workspaces over tiny name pools, after fixed declarations
+# of X and Y, so that declarations often parse far enough to reach the semantic
+# checks (repeated elements, unknown labels, missing assignments) and not
+# just the tokenizer.
+_SETS = st.sampled_from(["X", "Y"])
+_LABELS = st.sampled_from(["a", "b"])
+
+
+def _listed(item):
+    return st.lists(item, min_size=1, max_size=3).map(", ".join)
+
+
+_STATEMENTS = st.one_of(
+    st.builds("set {} = {{ {} }}".format, _SETS, _listed(_LABELS)),
+    st.builds(
+        "map {} : {} -> {} {{ {} }}".format,
+        st.sampled_from(["f", "g"]), _SETS, _SETS,
+        _listed(st.builds("{} -> {}".format, _LABELS, _LABELS)),
+    ),
+    st.builds("diagram D {{ {} }}".format, _listed(st.sampled_from(["f", "g", "X"]))),
+    st.builds(
+        "braiding b : {} * {} {{ {} }}".format,
+        _SETS, _SETS,
+        _listed(st.builds("({}, {}) -> ({}, {})".format, _LABELS, _LABELS, _LABELS, _LABELS)),
+    ),
+    st.sampled_from(["{", "}", "->", "(", "# note", "set", "map X", "\u00e9"]),
+)
+
+
+class TestParseFuzz:
+    @settings(max_examples=300)
+    @given(st.one_of(st.text(), st.lists(_STATEMENTS, max_size=6).map(
+        lambda stmts: "\n".join(["set X = { a, b }", "set Y = { a }", *stmts])
+    )))
+    def test_only_workspace_errors(self, source):
+        try:
+            parse_workspace(source)
+        except WorkspaceError:
+            pass
 
 
 class TestRender:
