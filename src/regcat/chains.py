@@ -11,15 +11,15 @@ The even form drops the leading f of the published equation, which does not
 typecheck under the stated domain assignments; at k = 2 it reduces to
 reflexive regularity of f(1) with witness f(2), which is the evident intent.
 ``check_chain`` verifies the closure of every prefix order 1..n, which is what
-makes level-by-level pruning in ``find_chains`` sound.
+makes the level-by-level construction in ``find_chains`` sound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
-from .core import FinMap, all_maps, compose, compose_path, map_space_size
+from .core import FinMap, all_maps, compose, compose_path, fibre_columns, map_space_size
 from .errors import (
     AlternationViolation,
     NotAGeneralizedInverse,
@@ -134,7 +134,24 @@ def extend_periodic(f: FinMap, fstar: FinMap, n: int) -> StarChain:
 @dataclass(frozen=True)
 class ChainSearchResult:
     chains: list[StarChain]
-    truncated: bool
+    truncated: bool  # a further tower exists beyond the limit
+    nodes: int       # star tables built over all levels
+
+
+def _next_stars(f: FinMap, stars: list[FinMap], c: Optional[FinMap]) -> Iterator[FinMap]:
+    """Every star s that closes the order-(k+1) equation after the valid prefix ``stars``.
+
+    ``c`` is s1∘...∘sk, None for the empty prefix.  At odd order the equation
+    is P∘s∘f = f with P = f∘c, so s(y) is free off im f and lies in the fibre
+    P⁻¹(y) on it; at even order it is c∘s∘s1 = s1, the same with c and im s1.
+    The maps come in lex order, as the product of those columns.
+    """
+    k = len(stars)
+    prefix = f"{f.name}_s{k + 1}_"
+    if k % 2 == 0:
+        p = f if c is None else compose(f, c)
+        return all_maps(f.cod, f.dom, prefix, columns=fibre_columns(p, f.table))
+    return all_maps(f.dom, f.cod, prefix, columns=fibre_columns(c, stars[0].table))
 
 
 def find_chains(
@@ -145,9 +162,14 @@ def find_chains(
 ) -> ChainSearchResult:
     """Depth-first enumeration of all valid order-n towers over f.
 
-    A partial tower is extended only while every closure equation already
-    determined by the prefix holds, so each emitted chain passes check_chain.
-    Results come in lexicographic order of the concatenated star tables.
+    Each level builds only the stars that keep the prefix valid
+    (``_next_stars``), so every emitted chain passes check_chain and no
+    candidate is rejected.  Results come in lexicographic order of the
+    concatenated star tables.  Without a limit, SearchSpaceTooLarge is
+    raised when the product of the n map spaces exceeds max_space: the
+    bound guards the size of that space, not the number of tables built.
+    With a limit at most `limit` towers are returned, and the result is
+    flagged truncated exactly when a further one exists.
     """
     if n < 1:
         raise ValueError("chain order must be >= 1")
@@ -159,30 +181,29 @@ def find_chains(
     if limit is None and space > max_space:
         raise SearchSpaceTooLarge(space, max_space)
 
+    stop = None if limit is None else limit + 1
     found: list[StarChain] = []
-    truncated = False
-
-    def dfs(stars: list[FinMap]) -> bool:
-        nonlocal truncated
-        if limit is not None and len(found) >= limit:
-            truncated = True
-            return False
-        k = len(stars)
-        if k == n:
-            found.append(StarChain(f, tuple(stars)))
-            return True
-        dom, cod = (Y, X) if (k + 1) % 2 == 1 else (X, Y)
-        for cand in all_maps(dom, cod, prefix=f"{f.name}_s{k + 1}_"):
-            stars.append(cand)
-            holds, _ = _closure_holds(StarChain(f, tuple(stars)), k + 1)
-            if holds and not dfs(stars):
+    nodes = 0
+    stars: list[FinMap] = []
+    heads: list[FinMap] = []  # heads[i] = s1∘...∘s(i+1)
+    levels = [_next_stars(f, stars, None)]  # levels[-1] offers the star after ``stars``
+    while levels and len(found) != stop:
+        s = next(levels[-1], None)
+        if s is None:
+            levels.pop()
+            if stars:
                 stars.pop()
-                return False
-            stars.pop()
-        return True
-
-    dfs([])
-    return ChainSearchResult(found, truncated)
+                heads.pop()
+            continue
+        nodes += 1
+        if len(stars) + 1 == n:
+            found.append(StarChain(f, (*stars, s)))
+        else:
+            stars.append(s)
+            heads.append(compose(heads[-1], s) if heads else s)
+            levels.append(_next_stars(f, stars, heads[-1]))
+    truncated = limit is not None and len(found) > limit
+    return ChainSearchResult(found[:limit], truncated, nodes)
 
 
 @dataclass(frozen=True)

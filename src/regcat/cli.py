@@ -100,7 +100,7 @@ def _cmd_inverses(ws: Workspace, ns) -> Report:
     return Report(
         command="inverses",
         result=result,
-        counts={"inverses": enum.count},
+        counts={"inverses": enum.count, "nodes": enum.nodes},
     )
 
 
@@ -125,7 +125,7 @@ def _cmd_chain(ws: Workspace, ns) -> Report:
                     [_map_as_labels(s) for s in c.stars] for c in found.chains
                 ],
             },
-            counts={"chains": len(found.chains)},
+            counts={"chains": len(found.chains), "nodes": found.nodes},
         )
     chain = _chain_from_names(ws, f, ns.stars)
     if chain.order != ns.n:
@@ -453,7 +453,9 @@ def main(argv=None) -> int:
                 ws = parse_workspace(fh.read())
         report = HANDLERS[ns.command](ws, ns)
     except (RegcatError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a decode error does not name the file it read; OSError already does
+        where = f"{ns.file}: " if isinstance(exc, UnicodeDecodeError) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         too_large = isinstance(exc, (SearchSpaceTooLarge, CarrierTooLarge))
         return RESOURCE_ERROR if too_large else USAGE_ERROR
     print(report.to_json() if ns.json else report.to_text())

@@ -303,15 +303,39 @@ def check_subset_regularity(f: FinMap, g: FinMap, mode: str) -> SubsetRegularity
 # --- exhaustive enumeration helpers -------------------------------------------
 
 
-def all_maps(dom: FiniteSet, cod: FiniteSet, prefix: str = "m") -> Iterator[FinMap]:
-    """Every map dom -> cod in lexicographic table order."""
-    if dom.cardinality == 0:
-        yield FinMap(f"{prefix}0", dom, cod, ())
-        return
-    if cod.cardinality == 0:
-        return  # no map from a nonempty set into the empty set
-    for k, table in enumerate(product(range(cod.cardinality), repeat=dom.cardinality)):
+def all_maps(
+    dom: FiniteSet,
+    cod: FiniteSet,
+    prefix: str = "m",
+    columns: Optional[Sequence[Optional[Sequence[int]]]] = None,
+) -> Iterator[FinMap]:
+    """Every map dom -> cod in lexicographic table order.
+
+    ``columns``, when given, has one entry per element of dom: the ascending
+    codomain indices allowed there, or None for all of them.  The maps yielded
+    are then exactly the tables in the product of the columns, still in lex
+    order, and an empty column yields none.
+    """
+    whole = range(cod.cardinality)
+    if columns is None:
+        columns = [whole] * dom.cardinality
+    else:
+        columns = [whole if c is None else c for c in columns]
+    for k, table in enumerate(product(*columns)):
         yield FinMap(f"{prefix}{k}", dom, cod, table)
+
+
+def fibre_columns(p: FinMap, on: Iterable[int]) -> list[Optional[list[int]]]:
+    """Per element c of cod(p): the fibre p⁻¹(c), ascending, if c is in ``on``, else None.
+
+    As ``columns`` of ``all_maps(p.cod, p.dom, ...)`` this yields exactly the
+    maps g with p(g(c)) = c for every c in ``on``.
+    """
+    fibres: list[list[int]] = [[] for _ in range(p.cod.cardinality)]
+    for x, c in enumerate(p.table):
+        fibres[c].append(x)
+    on = set(on)
+    return [fibres[c] if c in on else None for c in range(p.cod.cardinality)]
 
 
 def map_space_size(dom: FiniteSet, cod: FiniteSet) -> int:

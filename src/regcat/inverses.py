@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import FinMap, all_maps, compose, map_space_size
+from .core import FinMap, all_maps, compose, fibre_columns, map_space_size
 from .errors import (
     NoInverseExists,
     NotAnInnerInverse,
@@ -59,7 +59,55 @@ def section_inner_inverse(f: FinMap) -> FinMap:
 class InverseEnumeration:
     maps: list[FinMap]
     count: int
-    truncated: bool
+    truncated: bool  # a further inverse exists beyond the limit
+    nodes: int       # candidate or partial tables tested
+
+
+def _outer_tables(f: FinMap, stop: Optional[int]) -> tuple[list[tuple[int, ...]], int]:
+    """Tables of the outer inverses of f in lex order, at most ``stop`` of them.
+
+    A depth-first search over the positions y of cod(f) in order.  g∘f∘g = g
+    says g(f(x)) = x for every value x = g(y), so setting g(y) = x forces
+    position f(x): x is rejected when an earlier position forced g(y)
+    otherwise, when f(x) < y and g(f(x)) ≠ x, or when f(x) > y is already
+    forced to another value.  Returns the tables and the number of
+    (position, value) pairs tested.
+    """
+    nx, ny, ft = f.dom.cardinality, f.cod.cardinality, f.table
+    g = [0] * ny
+    forced: list[Optional[int]] = [None] * ny
+    claims: list[Optional[int]] = [None] * ny  # claims[y]: the position g(y) forced
+    tables: list[tuple[int, ...]] = []
+    nodes = 0
+    y, x = 0, 0  # the position being filled and the next value to try there
+    while y >= 0:
+        if y < ny and x < nx:
+            nodes += 1
+            t = ft[x]
+            if forced[y] not in (None, x):
+                fits = False
+            elif t < y:
+                fits = g[t] == x
+            else:
+                fits = t == y or forced[t] in (None, x)
+            if not fits:
+                x += 1
+                continue
+            g[y] = x
+            if t > y and forced[t] is None:
+                forced[t], claims[y] = x, t
+            y, x = y + 1, 0
+            continue
+        if y == ny:
+            tables.append(tuple(g))
+            if len(tables) == stop:
+                break
+        y -= 1  # backtrack: undo the choice at y and try its next value
+        if y >= 0:
+            if claims[y] is not None:
+                forced[claims[y]], claims[y] = None, None
+            x = g[y] + 1
+    return tables, nodes
 
 
 def enumerate_inverses(
@@ -70,23 +118,38 @@ def enumerate_inverses(
 ) -> InverseEnumeration:
     """All inverses of the given kind, in lexicographic table order.
 
-    Without a limit the whole candidate space |dom|^|cod| is swept and the
-    count is exact; SearchSpaceTooLarge is raised if that space exceeds
-    max_space.  With a limit the sweep stops after `limit` hits and the
-    result is flagged truncated.
+    The inverses are built, not filtered out of all |dom|^|cod| maps g.
+    Inner ones are the product of the fibres f⁻¹(y) over im f, with any
+    value elsewhere; generalized ones are the inner ones with g∘f∘g = g;
+    outer ones come from a depth-first search (``_outer_tables``).
+
+    Without a limit the count is exact, and SearchSpaceTooLarge is raised
+    when |dom|^|cod| exceeds max_space: the bound guards the size of the map
+    space, not the number of tables built.  With a limit at most `limit`
+    inverses are returned, and the result is flagged truncated exactly when
+    a further one exists.
     """
+    if kind not in INVERSE_KINDS:
+        raise ValueError(f"unknown inverse kind {kind!r}")
     space = map_space_size(f.cod, f.dom)
     if limit is None and space > max_space:
         raise SearchSpaceTooLarge(space, max_space)
-    found: list[FinMap] = []
-    truncated = False
-    for g in all_maps(f.cod, f.dom, prefix=f"{f.name}_inv"):
-        if limit is not None and len(found) >= limit:
-            truncated = True
-            break
-        if is_inverse(f, g, kind):
-            found.append(g)
-    return InverseEnumeration(found, len(found), truncated)
+    stop = None if limit is None else limit + 1
+    if kind == "outer":
+        tables, nodes = _outer_tables(f, stop)
+        found = [FinMap(f"{f.name}_inv{k}", f.cod, f.dom, t) for k, t in enumerate(tables)]
+    else:
+        found, nodes = [], 0
+        columns = fibre_columns(f, f.table)
+        for g in all_maps(f.cod, f.dom, prefix=f"{f.name}_inv", columns=columns):
+            nodes += 1
+            if kind == "inner" or is_inverse(f, g, "generalized"):
+                found.append(g)
+                if len(found) == stop:
+                    break
+    truncated = limit is not None and len(found) > limit
+    found = found[:limit]
+    return InverseEnumeration(found, len(found), truncated, nodes)
 
 
 def generalized_from_inner(f: FinMap, g_in: FinMap) -> FinMap:

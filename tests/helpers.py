@@ -59,3 +59,40 @@ def generalized_pairs(f: FinMap) -> list[FinMap]:
 def sizes_upto(n, include_empty=False):
     lo = 0 if include_empty else 1
     return range(lo, n + 1)
+
+
+def naive_closes(f: FinMap, stars: list[tuple[int, ...]]) -> bool:
+    """The order-k closure equation of a tower prefix of k star tables, pointwise."""
+    if len(stars) % 2 == 1:
+        # f ∘ s1 ∘ ... ∘ sk ∘ f = f
+        m = f.table
+        for s in reversed(stars):
+            m = tuple(s[v] for v in m)
+        return tuple(f.table[v] for v in m) == f.table
+    # s1 ∘ s2 ∘ ... ∘ sk ∘ s1 = s1
+    m = stars[0]
+    for s in reversed(stars[1:]):
+        m = tuple(s[v] for v in m)
+    return tuple(stars[0][v] for v in m) == stars[0]
+
+
+def naive_chains(f: FinMap, n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Star tables of every valid order-n tower over f, in lex order.
+
+    Each level sweeps every map of its type and keeps those that close the
+    equation of that order.
+    """
+    X, Y = f.dom, f.cod
+    out = []
+
+    def extend(stars):
+        if len(stars) == n:
+            out.append(tuple(stars))
+            return
+        dom, cod = (Y, X) if len(stars) % 2 == 0 else (X, Y)
+        for s in maps_between(dom, cod):
+            if naive_closes(f, [*stars, s.table]):
+                extend([*stars, s.table])
+
+    extend([])
+    return out

@@ -1,7 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import S, fm, generalized_pairs, maps_between
+from helpers import (
+    S,
+    fm,
+    generalized_pairs,
+    maps_between,
+    naive_chains,
+    naive_closes,
+    sizes_upto,
+)
 from regcat.chains import (
     StarChain,
     chain_obstructor,
@@ -123,6 +131,68 @@ class TestFindChains:
             for c in find_chains(F, 2).chains
         ]
         assert keys == sorted(keys)
+
+
+def _tables(result):
+    return [tuple(s.table for s in c.stars) for c in result.chains]
+
+
+class TestConstructiveSearch:
+    """Each level is built from fibres, not swept: check it against the naive filter."""
+
+    def test_every_map_up_to_3x3(self):
+        for nx in sizes_upto(3, include_empty=True):
+            for ny in sizes_upto(3, include_empty=True):
+                X, Y = S("X", nx), S("Y", ny)
+                for f in maps_between(X, Y):
+                    for n in (1, 2, 3):
+                        assert _tables(find_chains(f, n)) == naive_chains(f, n), (f.table, n)
+
+    def test_orders_4_and_5(self):
+        # from order 4 on, an image point of s1 can fall outside the image of
+        # s1∘s2∘s3; its column must then be empty, not free
+        for nx in sizes_upto(3, include_empty=True):
+            for ny in sizes_upto(3, include_empty=True):
+                if nx * ny > 6:
+                    continue
+                X, Y = S("X", nx), S("Y", ny)
+                for f in maps_between(X, Y):
+                    for n in (4, 5):
+                        assert _tables(find_chains(f, n)) == naive_chains(f, n), (f.table, n)
+
+    def test_limit_gives_a_prefix(self):
+        for f in maps_between(S("X", 2), S("Y", 3)):
+            for n in (1, 2, 3):
+                full = _tables(find_chains(f, n))
+                for limit in range(len(full) + 2):
+                    r = find_chains(f, n, limit=limit)
+                    assert _tables(r) == full[:limit]
+                    assert r.truncated == (len(full) > limit)
+
+    @pytest.mark.parametrize("m", range(4))
+    def test_empty_domain(self, m):
+        # f: 0 -> m; star 1 maps m -> 0, which exists only for m = 0
+        f = fm("f", S("E", 0), S("Y", m), ())
+        for n in (1, 2, 3):
+            assert _tables(find_chains(f, n)) == ([((),) * n] if m == 0 else [])
+
+    def test_truncated_only_past_the_last_chain(self):
+        assert not find_chains(F, 2, limit=4).truncated
+        assert find_chains(F, 2, limit=3).truncated
+
+    def test_nodes(self):
+        # 2 first stars, 2 second stars under each, 2 third stars under each of those
+        assert [find_chains(F, n).nodes for n in (1, 2, 3)] == [2, 6, 14]
+
+    def test_deep_tower_under_a_limit(self):
+        # the search keeps no Python frame per level, so the order may exceed
+        # the recursion limit
+        r = find_chains(F, 1500, limit=1)
+        assert r.truncated and r.nodes == 1501
+        tables = [s.table for s in r.chains[0].stars]
+        assert len(tables) == 1500
+        for k in (1, 2, 3, 1499, 1500):
+            assert naive_closes(F, tables[:k])
 
 
 class TestHigherProjector:

@@ -68,6 +68,23 @@ class TestInverses:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("limit, truncated", [("1", True), ("2", False)])
+    def test_truncated_only_past_the_last_inverse(self, capsys, limit, truncated):
+        # f has exactly 2 inner inverses
+        code, rep = run_json(
+            capsys, "inverses", MAPS, "--map", "f", "--kind", "inner", "--limit", limit
+        )
+        assert code == 0 and rep["result"]["truncated"] is truncated
+        assert rep["counts"]["inverses"] == int(limit)
+
+    def test_counts_nodes(self, capsys):
+        nodes = {}
+        for kind in ("inner", "outer", "generalized"):
+            _, rep = run_json(capsys, "inverses", MAPS, "--map", "f", "--kind", kind)
+            assert list(rep["counts"]) == ["inverses", "nodes"]
+            nodes[kind] = rep["counts"]["nodes"]
+        assert nodes == {"inner": 2, "outer": 12, "generalized": 2}
+
 
 class TestChainAndProjector:
     def test_check_periodic(self, capsys):
@@ -88,6 +105,11 @@ class TestChainAndProjector:
     def test_search(self, capsys):
         code, rep = run_json(capsys, "chain", MAPS, "--map", "f", "--n", "1", "--search")
         assert code == 0 and rep["counts"]["chains"] == 2
+
+    def test_search_counts_nodes(self, capsys):
+        code, rep = run_json(capsys, "chain", MAPS, "--map", "f", "--n", "2", "--search")
+        assert code == 0 and rep["counts"] == {"chains": 4, "nodes": 6}
+        assert rep["result"]["truncated"] is False
 
     def test_missing_stars_and_search(self, capsys):
         code, _ = run(capsys, "chain", MAPS, "--map", "f", "--n", "1")
@@ -261,6 +283,8 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert "error:" in err and "Traceback" not in err
+        if NOT_UTF8 in argv:
+            assert f"error: {bad}: " in err
 
 
 # argv for main(): every subcommand with its flags, the three fixtures, names

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import S, fm, generalized_pairs, maps_between, naive_inverses
+from helpers import S, fm, generalized_pairs, maps_between, naive_inverses, sizes_upto
 from regcat.core import classify_map, compose, identity
 from regcat.errors import (
     NoInverseExists,
@@ -9,6 +9,7 @@ from regcat.errors import (
     TypeMismatch,
 )
 from regcat.inverses import (
+    INVERSE_KINDS,
     closure_composite,
     enumerate_inverses,
     generalized_from_inner,
@@ -88,6 +89,69 @@ class TestEnumerate:
                     for kind in ("inner", "outer", "generalized"):
                         got = enumerate_inverses(f, kind).maps
                         assert got == naive_inverses(f, kind)
+
+
+class TestConstructive:
+    """The inverses are built, not swept: check them against the naive sweep."""
+
+    def test_every_map_up_to_4x4(self):
+        for nx in sizes_upto(4, include_empty=True):
+            for ny in sizes_upto(4, include_empty=True):
+                X, Y = S("X", nx), S("Y", ny)
+                for f in maps_between(X, Y):
+                    for kind in INVERSE_KINDS:
+                        got = [g.table for g in enumerate_inverses(f, kind).maps]
+                        assert got == [g.table for g in naive_inverses(f, kind)], (f.table, kind)
+
+    def test_limit_gives_a_prefix(self):
+        for nx in sizes_upto(3):
+            for ny in sizes_upto(3):
+                X, Y = S("X", nx), S("Y", ny)
+                for f in maps_between(X, Y):
+                    for kind in INVERSE_KINDS:
+                        full = [g.table for g in enumerate_inverses(f, kind).maps]
+                        for limit in range(len(full) + 2):
+                            res = enumerate_inverses(f, kind, limit=limit)
+                            assert [g.table for g in res.maps] == full[:limit]
+                            assert res.count == min(limit, len(full))
+                            assert res.truncated == (len(full) > limit)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_empty_domain(self, n):
+        # f: 0 -> n; a map n -> 0 with n > 0 does not exist, so this is the
+        # only empty-carrier shape: g: n -> 0 exists only for n = 0
+        f = fm("f", S("E", 0), S("Y", n), ())
+        for kind in INVERSE_KINDS:
+            res = enumerate_inverses(f, kind)
+            assert [g.table for g in res.maps] == ([()] if n == 0 else [])
+
+    def test_long_codomain_under_a_limit(self):
+        # the outer search keeps no Python frame per position
+        f = fm("f", S("X", 2), S("Y", 1500), (0, 1))
+        res = enumerate_inverses(f, "outer", limit=1)
+        assert res.truncated and res.maps[0].table == (0,) * 1500
+
+    def test_truncated_only_past_the_last_inverse(self):
+        # F has exactly 2 inner and 2 generalized inverses
+        for kind in ("inner", "generalized"):
+            assert not enumerate_inverses(F, kind, limit=2).truncated
+            assert enumerate_inverses(F, kind, limit=1).truncated
+            assert not enumerate_inverses(F, kind, limit=3).truncated
+
+    def test_nodes(self):
+        # inner: the product [{0, 1}, {2}] builds 2 tables; generalized tests
+        # those 2; outer tries 3 values at position 0, then 3 at 1 under each
+        assert enumerate_inverses(F, "inner").nodes == 2
+        assert enumerate_inverses(F, "generalized").nodes == 2
+        assert enumerate_inverses(F, "outer").nodes == 12
+        # under a limit the search runs on to the next inverse, (0, 2): value 0
+        # at position 0, then values 0, 1 and 2 at position 1
+        assert enumerate_inverses(F, "outer", limit=1).nodes == 4
+        assert enumerate_inverses(F, "inner", limit=0).nodes == 1
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            enumerate_inverses(F, "left")
 
 
 class TestIsInverse:
