@@ -172,8 +172,9 @@ def _cmd_projector(ws: Workspace, ns) -> Report:
 def _cmd_diagram(ws: Workspace, ns) -> Report:
     d = ws.build_diagram(ns.name)
     check = diagrams.is_commutative if ns.mode == "commutative" else diagrams.is_semicommutative
+    rep = check(d, ns.max_len)
     witnesses = []
-    for v in check(d, ns.max_len).violations:
+    for v in rep.violations:
         if v[0] == "cycle":
             witnesses.append({"kind": "cycle", "cycle": _cycle_as_json(v[1])})
         elif v[0] == "parallel_paths":
@@ -187,6 +188,7 @@ def _cmd_diagram(ws: Workspace, ns) -> Report:
         result={"diagram": ns.name, "mode": ns.mode, "max_len": ns.max_len,
                 "verdict": not witnesses},
         witnesses=witnesses,
+        counts={"paths": rep.paths, "cycles": rep.cycles},
     )
 
 
@@ -201,7 +203,8 @@ def _cmd_obstruction(ws: Workspace, ns) -> Report:
     }
     if rep.witness is not None:
         result["cycle"] = _cycle_as_json(rep.witness)
-    return Report(command="obstruction", result=result)
+    return Report(command="obstruction", result=result,
+                  counts={"paths": rep.paths, "cycles": rep.cycles})
 
 
 def _cmd_cycles3(ws: Workspace, ns) -> Report:

@@ -18,7 +18,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -210,8 +209,19 @@ def compose(g: FinMap, f: FinMap) -> FinMap:
 
 
 def compose_path(maps: Sequence[FinMap]) -> FinMap:
-    """Compose a nonempty sequence written in application order (first applied first)."""
-    return reduce(lambda acc, m: compose(m, acc), maps[1:], maps[0])
+    """Compose a nonempty sequence written in application order (first applied first).
+
+    Same name, table and checks as folding :func:`compose`, with one FinMap
+    built for the whole path instead of one per step.
+    """
+    first = maps[0]
+    name, cod, table = first.name, first.cod, first.table
+    for m in maps[1:]:
+        if cod.id != m.dom.id or cod.cardinality != m.dom.cardinality:
+            raise TypeMismatch(m.dom.id, cod.id, "compose")
+        t = m.table
+        name, cod, table = f"({m.name}.{name})", m.cod, tuple([t[v] for v in table])
+    return FinMap(name, first.dom, cod, table)
 
 
 def tensor(f: FinMap, g: FinMap) -> FinMap:

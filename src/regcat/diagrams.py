@@ -9,11 +9,24 @@ edge leaving the base absorbs the obstructor (f∘e = f).
 Cycles and paths are enumerated as edge sequences without repeated edges
 (simple in the edge multigraph).  Obstructors of valid semicommutative cycles
 are idempotent, so longer powers of a cycle add nothing.
+
+Every check reads one walk (``_Walk``).  Its adjacency, each object's
+outgoing edges sorted by name with their codomain and raw table, is built
+once per check.  From a start object the walk visits every simple path of
+up to a given length in preorder, composing each prefix once from its
+parent's table, on its own stack rather than one Python frame per edge.
+Preorder lists the paths of any one length in lexicographic order of their
+edge names, so checks order what they find by (length, base, path): the
+order of a search that walks each length in turn.  A check that only needs
+the first violation cuts the walk to shorter paths once it has one.
+Absorption f∘e = f is decided once per base and obstructor table, since a
+diagram's many cycles share few obstructors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator, Optional
 
 from .core import FinMap, FiniteSet, compose, compose_path, tensor
@@ -47,6 +60,10 @@ class Diagram:
             if m.dom.id not in objs or m.cod.id not in objs:
                 missing = m.dom.id if m.dom.id not in objs else m.cod.id
                 raise UnknownReference(missing)
+            # the checks compose raw tables, so each endpoint must have its object's size
+            for end in (m.dom, m.cod):
+                if end.cardinality != objs[end.id].cardinality:
+                    raise TypeMismatch(objs[end.id].elements, end.elements, f"edge {m.name!r}")
             eds[m.name] = m
         return Diagram(objs, eds)
 
@@ -80,32 +97,157 @@ def path_compose(d: Diagram, path: Iterable[str]) -> FinMap:
     return compose_path(maps)
 
 
-def _paths(d: Diagram, start: str, length: int) -> Iterator[tuple[str, ...]]:
-    """Simple paths (no repeated edge) of exactly the given length from start."""
-    def dfs(at: str, used: tuple[str, ...]):
-        if len(used) == length:
-            yield used
-            return
-        for name in d.edges_from(at):
-            if name not in used:
-                yield from dfs(d.edges[name].cod.id, used + (name,))
+class _Walk:
+    """One diagram's adjacency, built once per check, and the work done walking it."""
 
-    yield from dfs(start, ())
+    def __init__(self, d: Diagram):
+        self.out: dict[str, list[tuple[str, str, tuple[int, ...]]]] = {o: [] for o in d.objects}
+        for name in sorted(d.edges):
+            m = d.edges[name]
+            self.out[m.dom.id].append((name, m.cod.id, m.table))
+        self.unit = {o: tuple(range(s.cardinality)) for o, s in d.objects.items()}
+        self.depth = 0   # the longest paths the walk in progress still visits
+        self.paths = 0   # path prefixes composed
+        self.cycles = 0  # closed paths checked
+
+    def paths_from(
+        self, start: str, depth: int, close: Optional[str] = None
+    ) -> Iterator[tuple[list[str], str, tuple[int, ...]]]:
+        """Every simple path of 1..depth edges from start, in preorder, as (path, end, composite).
+
+        The path list is the walk's own and changes as the walk goes on: copy
+        it to keep it.  Lowering ``self.depth`` during the walk cuts it to
+        shorter paths.  With ``close`` given, paths of the full depth are
+        built only when they end there.
+        """
+        self.depth = depth
+        out, used, path = self.out, set(), []
+        tables = [self.unit[start]]
+        stack = [iter(out[start])]
+        while stack:
+            k = len(stack)  # the length of the paths the top level offers
+            name = None
+            if k <= self.depth:
+                leaf = close is not None and k == self.depth
+                for name, end, t in stack[-1]:
+                    if name not in used and not (leaf and end != close):
+                        break
+                else:
+                    name = None
+            if name is None:
+                stack.pop()
+                if path:
+                    used.discard(path.pop())
+                    tables.pop()
+                continue
+            table = tuple([t[v] for v in tables[-1]])
+            self.paths += 1
+            path.append(name)
+            yield path, end, table
+            if k < self.depth:
+                used.add(name)
+                tables.append(table)
+                stack.append(iter(out[end]))
+            else:
+                path.pop()
+
+    def cycles_at(self, base: str, depth: int) -> Iterator[tuple[list[str], tuple[int, ...]]]:
+        """The closed paths among ``paths_from(base, depth)``, with their obstructor tables."""
+        for path, end, e in self.paths_from(base, depth, base):
+            if end == base:
+                self.cycles += 1
+                yield path, e
+
+
+def _levels(walk: _Walk, bases: Iterable[str], depth: int) -> list[list[tuple[Cycle, tuple[int, ...]]]]:
+    """Cycles of 1..depth edges at the bases with their obstructors, indexed by length."""
+    levels: list[list[tuple[Cycle, tuple[int, ...]]]] = [[] for _ in range(depth + 1)]
+    for base in bases:
+        for path, e in walk.cycles_at(base, depth):
+            levels[len(path)].append((Cycle(base, tuple(path)), e))
+    return levels
+
+
+def _first_failures(
+    walk: _Walk, bases: Iterable[str], depth: int, pairs: bool
+) -> tuple[Optional[Cycle], Optional[tuple[tuple[str, ...], tuple[str, ...]]]]:
+    """The first cycle, by (length, base, path), whose obstructor is not the
+    identity and, with ``pairs``, the first pair of parallel paths that
+    disagree, from the first base that has one.
+
+    A pair is the first path, by (length, path), to some end and the first
+    path whose composite differs from it.  The walk meets the paths of one
+    length in that order but a shorter path may come later, so per end it
+    keeps the first path so far and the first that disagrees with it; when a
+    shorter path takes over and disagrees with the old first, the old first
+    is the first that disagrees.
+
+    One walk per base serves both searches, each cutting it to what may still
+    come first: once a cycle is found, only shorter cycles, at this base and
+    at every later one; once a path of n edges disagrees, paths of fewer.
+    """
+    cycle = pair = None
+    for base in bases:
+        unit = walk.unit[base]
+        reach = depth if cycle is None else cycle.length - 1
+        span = depth if pairs and pair is None else 0  # the pair search's depth
+        # paths are kept as (last edge, parent) chains: in preorder the parent
+        # of a path is the latest path one edge shorter
+        chain: list = [None] * (span + 1)
+        # end -> [first path, its length, its composite, (length, path) of the first to disagree]
+        seen: dict[str, list] = {}
+        for path, end, table in walk.paths_from(base, max(reach, span), None if span else base):
+            n = len(path)
+            if end == base and n <= reach:
+                walk.cycles += 1
+                if table != unit:
+                    cycle, reach = Cycle(base, tuple(path)), n - 1
+                    walk.depth = max(reach, span)
+            if n > span:
+                continue
+            chain[n] = link = (path[-1], chain[n - 1])
+            first = seen.get(end)
+            if first is None:
+                seen[end] = [link, n, table, None]
+            elif n < first[1]:
+                if table != first[2]:
+                    first[3] = (first[1], first[0])
+                    span = min(span, first[1] - 1)
+                    walk.depth = max(reach, span)
+                first[:3] = link, n, table
+            elif table != first[2]:  # once one disagrees, span keeps later paths shorter
+                first[3], span = (n, link), n - 1
+                walk.depth = max(reach, span)
+        found = [(later[0], _unchain(later[1]), _unchain(first[0]))
+                 for first in seen.values() if (later := first[3])]
+        if found:
+            _, later, earlier = min(found)
+            pair = earlier, later
+    return cycle, pair
+
+
+def _unchain(link) -> tuple[str, ...]:
+    names = []
+    while link is not None:
+        names.append(link[0])
+        link = link[1]
+    return tuple(reversed(names))
 
 
 def cycles_at(d: Diagram, base: str, length: int) -> Iterator[Cycle]:
     """Simple cycles of exactly the given length based at an object."""
     if base not in d.objects:
         raise UnknownObject(base)
-    for path in _paths(d, base, length):
-        if d.edges[path[-1]].cod.id == base:
-            yield Cycle(base, path)
+    for path, _ in _Walk(d).cycles_at(base, length):
+        if len(path) == length:
+            yield Cycle(base, tuple(path))
 
 
 def all_cycles(d: Diagram, max_len: int) -> Iterator[Cycle]:
-    for n in range(1, max_len + 1):
-        for base in sorted(d.objects):
-            yield from cycles_at(d, base, n)
+    """Simple cycles of 1..max_len edges by (length, base, path)."""
+    for level in _levels(_Walk(d), sorted(d.objects), max_len):
+        for c, _ in level:
+            yield c
 
 
 @dataclass(frozen=True)
@@ -120,78 +262,84 @@ def obstructor(d: Diagram, c: Cycle) -> ObstructorReport:
     return ObstructorReport(e, e.is_identity(), compose(e, e) == e)
 
 
+# Reports carry the walk's work counters, which take no part in equality.
+_count = partial(field, default=0, compare=False)
+
+
 @dataclass(frozen=True)
 class CommutativityReport:
     commutative: bool
     violations: tuple[tuple, ...]  # at most one per violation class
+    paths: int = _count()
+    cycles: int = _count()
 
 
 def is_commutative(d: Diagram, max_len: int) -> CommutativityReport:
     """True iff all cycles compose to the identity and parallel paths agree.
 
     Parallel-path equality is the standard reading of a commutative diagram;
-    the cycle condition alone is what the obstructor calculus refines.
+    the cycle condition alone is what the obstructor calculus refines.  Each
+    path is compared with the first path to its end only: every path met
+    before it agrees with that one, or the check would have stopped.
     """
+    walk = _Walk(d)
+    cycle, pair = _first_failures(walk, sorted(d.objects), max_len, pairs=True)
     violations: list[tuple] = []
-    for c in all_cycles(d, max_len):
-        if not path_compose(d, c.edges).is_identity():
-            violations.append(("cycle", c))
-            break
-    done = False
-    for start in sorted(d.objects):
-        if done:
-            break
-        by_target: dict[str, list[tuple[tuple[str, ...], FinMap]]] = {}
-        for n in range(1, max_len + 1):
-            for path in _paths(d, start, n):
-                end = d.edges[path[-1]].cod.id
-                comp = path_compose(d, path)
-                for other_path, other in by_target.get(end, []):
-                    if other != comp:
-                        violations.append(("parallel_paths", other_path, path))
-                        done = True
-                        break
-                if done:
-                    break
-                by_target.setdefault(end, []).append((path, comp))
-            if done:
-                break
-    return CommutativityReport(not violations, tuple(violations))
+    if cycle is not None:
+        violations.append(("cycle", cycle))
+    if pair is not None:
+        violations.append(("parallel_paths", *pair))
+    return CommutativityReport(not violations, tuple(violations), walk.paths, walk.cycles)
 
 
 @dataclass(frozen=True)
 class SemicommutativityReport:
     semicommutative: bool
     violations: tuple[tuple, ...]
+    paths: int = _count()
+    cycles: int = _count()
 
 
 def is_semicommutative(d: Diagram, max_len: int) -> SemicommutativityReport:
-    """Every cycle obstructor must be absorbed by every edge leaving its base."""
-    violations: list[tuple] = []
-    for c in all_cycles(d, max_len):
-        e = path_compose(d, c.edges)
-        for name in d.edges_from(c.base):
-            f = d.edges[name]
-            if compose(f, e) != f:
-                violations.append(("absorption", c, name))
-    return SemicommutativityReport(not violations, tuple(violations))
+    """Every cycle obstructor must be absorbed by every edge leaving its base.
+
+    Violations come by (length, base, path), then edge name.  The failing
+    edges depend only on the base and the obstructor table, so they are
+    worked out once per pair.
+    """
+    walk = _Walk(d)
+    levels: list[list[tuple]] = [[] for _ in range(max_len + 1)]
+    failing: dict[tuple[str, tuple[int, ...]], list[str]] = {}
+    for base in sorted(d.objects):
+        for path, e in walk.cycles_at(base, max_len):
+            bad = failing.get((base, e))
+            if bad is None:
+                bad = failing[base, e] = [
+                    name for name, _, f in walk.out[base]
+                    if any(f[v] != f[i] for i, v in enumerate(e))
+                ]
+            if bad:
+                c = Cycle(base, tuple(path))
+                levels[len(path)].extend(("absorption", c, name) for name in bad)
+    violations = tuple(v for level in levels for v in level)
+    return SemicommutativityReport(not violations, violations, walk.paths, walk.cycles)
 
 
 @dataclass(frozen=True)
 class ObstructionReport:
     n_obstr: Optional[int]  # None: no non-identity obstructor up to max_n
     witness: Optional[Cycle]
+    paths: int = _count()
+    cycles: int = _count()
 
 
 def obstruction_number(d: Diagram, X: str, max_n: int) -> ObstructionReport:
     """Least cycle length at X whose obstructor differs from the identity."""
     if X not in d.objects:
         raise UnknownObject(X)
-    for n in range(1, max_n + 1):
-        for c in cycles_at(d, X, n):
-            if not path_compose(d, c.edges).is_identity():
-                return ObstructionReport(n, c)
-    return ObstructionReport(None, None)
+    walk = _Walk(d)
+    c, _ = _first_failures(walk, [X], max_n, pairs=False)
+    return ObstructionReport(None if c is None else c.length, c, walk.paths, walk.cycles)
 
 
 # --- regular 3-cycles ---------------------------------------------------------
@@ -349,17 +497,22 @@ def check_regular_functor(fd: FunctorData, n: int) -> FunctorReport:
         if m.is_identity() and not tgt.edges[fd.edge_map[name]].is_identity():
             e_ok = False
             violations.append(("identity", name))
-    for length in range(2, n + 1):
-        for base in sorted(src.objects):
-            tgt_base = fd.object_map[base]
-            tgt_cycles = list(cycles_at(tgt, tgt_base, length))
-            if not tgt_cycles:
+    levels: list[list[tuple]] = [[] for _ in range(n + 1)]
+    src_walk, tgt_walk = _Walk(src), _Walk(tgt)
+    tgt_levels: dict[str, list] = {}
+    for base in sorted(src.objects):
+        tgt_base = fd.object_map[base]
+        if tgt_base not in tgt_levels:
+            tgt_levels[tgt_base] = _levels(tgt_walk, [tgt_base], n)
+        for length, cycles in enumerate(_levels(src_walk, [base], n)):
+            targets = tgt_levels[tgt_base][length]
+            if length < 2 or not targets:
                 continue
-            for c in cycles_at(src, base, length):
-                img_path = [fd.edge_map[e] for e in c.edges]
-                p = path_compose(tgt, img_path)
-                for c2 in tgt_cycles:
-                    if path_compose(tgt, c2.edges) != p:
-                        e_ok = False
-                        violations.append(("obstructor", c, c2))
+            for c, _ in cycles:
+                p = path_compose(tgt, [fd.edge_map[name] for name in c.edges]).table
+                levels[length].extend(("obstructor", c, c2) for c2, e in targets if e != p)
+    obstructed = [v for level in levels for v in level]
+    if obstructed:
+        e_ok = False
+        violations.extend(obstructed)
     return FunctorReport(comp_ok, e_ok, tuple(violations))

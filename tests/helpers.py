@@ -6,7 +6,13 @@ they stay independent of the library code paths they check.
 
 from itertools import product
 
-from regcat.core import FinMap, FiniteSet
+from regcat.core import FinMap, FiniteSet, compose, compose_path
+from regcat.diagrams import (
+    CommutativityReport,
+    Cycle,
+    ObstructionReport,
+    SemicommutativityReport,
+)
 
 
 def S(sid: str, n: int) -> FiniteSet:
@@ -96,3 +102,133 @@ def naive_chains(f: FinMap, n: int) -> list[tuple[tuple[int, ...], ...]]:
 
     extend([])
     return out
+
+
+# --- diagram walk oracle --------------------------------------------------------
+# A recursive walk, one length at a time, independent of diagrams._Walk: every
+# path is rebuilt from its edges with compose_path and compared as a FinMap.
+
+
+def oracle_path_compose(d, path):
+    return compose_path([d.edges[name] for name in path])
+
+
+def oracle_paths(d, start, length):
+    """Simple paths (no repeated edge) of exactly the given length from start."""
+    def dfs(at, used):
+        if len(used) == length:
+            yield used
+            return
+        for name in d.edges_from(at):
+            if name not in used:
+                yield from dfs(d.edges[name].cod.id, used + (name,))
+
+    yield from dfs(start, ())
+
+
+def oracle_cycles_at(d, base, length):
+    for path in oracle_paths(d, base, length):
+        if d.edges[path[-1]].cod.id == base:
+            yield Cycle(base, path)
+
+
+def oracle_all_cycles(d, max_len):
+    for n in range(1, max_len + 1):
+        for base in sorted(d.objects):
+            yield from oracle_cycles_at(d, base, n)
+
+
+def oracle_is_commutative(d, max_len):
+    violations = []
+    for c in oracle_all_cycles(d, max_len):
+        if not oracle_path_compose(d, c.edges).is_identity():
+            violations.append(("cycle", c))
+            break
+    done = False
+    for start in sorted(d.objects):
+        if done:
+            break
+        by_target = {}
+        for n in range(1, max_len + 1):
+            for path in oracle_paths(d, start, n):
+                end = d.edges[path[-1]].cod.id
+                comp = oracle_path_compose(d, path)
+                for other_path, other in by_target.get(end, []):
+                    if other != comp:
+                        violations.append(("parallel_paths", other_path, path))
+                        done = True
+                        break
+                if done:
+                    break
+                by_target.setdefault(end, []).append((path, comp))
+            if done:
+                break
+    return CommutativityReport(not violations, tuple(violations))
+
+
+def oracle_is_semicommutative(d, max_len):
+    violations = []
+    for c in oracle_all_cycles(d, max_len):
+        e = oracle_path_compose(d, c.edges)
+        for name in d.edges_from(c.base):
+            f = d.edges[name]
+            if compose(f, e) != f:
+                violations.append(("absorption", c, name))
+    return SemicommutativityReport(not violations, tuple(violations))
+
+
+def oracle_obstruction_number(d, X, max_n):
+    for n in range(1, max_n + 1):
+        for c in oracle_cycles_at(d, X, n):
+            if not oracle_path_compose(d, c.edges).is_identity():
+                return ObstructionReport(n, c)
+    return ObstructionReport(None, None)
+
+
+def oracle_functor_obstructors(fd, n):
+    """The level-2..n obstructor violations of check_regular_functor, in its order."""
+    src, tgt = fd.source, fd.target
+    violations = []
+    for length in range(2, n + 1):
+        for base in sorted(src.objects):
+            tgt_cycles = list(oracle_cycles_at(tgt, fd.object_map[base], length))
+            if not tgt_cycles:
+                continue
+            for c in oracle_cycles_at(src, base, length):
+                p = oracle_path_compose(tgt, [fd.edge_map[e] for e in c.edges])
+                for c2 in tgt_cycles:
+                    if oracle_path_compose(tgt, c2.edges) != p:
+                        violations.append(("obstructor", c, c2))
+    return violations
+
+
+# --- chain verdict oracle ----------------------------------------------------------
+
+
+def compose_path_verdict(c):
+    """check_chain's verdict fields, rebuilding every prefix with compose_path.
+
+    Returns (odd_closure, even_closure, ef_form, obstructor,
+    obstructor_idempotent, failures).
+    """
+    f = c.base
+    closures = {1: None, 0: None}  # odd, even
+    failures = []
+    for k in range(1, c.order + 1):
+        prefix = c.stars[:k]
+        if k % 2 == 1:
+            lhs, rhs = compose_path([f, *reversed(prefix), f]), f
+            eq, carrier = f"nreg2[{k}]", f.dom
+        else:
+            lhs, rhs = compose_path([prefix[0], *reversed(prefix[1:]), prefix[0]]), prefix[0]
+            eq, carrier = f"nreg1[{k}]", f.cod
+        holds = lhs == rhs
+        closures[k % 2] = holds if closures[k % 2] is None else closures[k % 2] and holds
+        if not holds:
+            i = next(i for i in range(len(rhs.table)) if lhs.table[i] != rhs.table[i])
+            failures.append((eq, carrier.label(i)))
+    if c.order % 2 == 1:
+        e = compose_path([f, *reversed(c.stars)])
+    else:
+        e = compose_path(list(reversed(c.stars)))
+    return closures[1], closures[0], compose(f, e) == f, e, compose(e, e) == e, tuple(failures)

@@ -1,8 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import random
+import time
+
 from helpers import (
     S,
+    compose_path_verdict,
     fm,
     generalized_pairs,
     maps_between,
@@ -91,6 +95,36 @@ class TestCheckChain:
     def test_closure_flags_none_when_absent(self):
         v = check_chain(make_chain(F, [FS]))
         assert v.even_closure is None and v.odd_closure is True
+
+    def test_deep_tower_checks_in_linear_time(self):
+        # the prefix composite is carried from one order to the next
+        c = find_chains(F, 1500, limit=1).chains[0]
+        t = time.perf_counter()
+        v = check_chain(c)
+        assert time.perf_counter() - t < 1.0
+        assert v.valid and v.odd_closure and v.even_closure
+
+    def test_matches_compose_path_route(self):
+        # valid towers from the search and random, mostly failing, ones
+        rng = random.Random(5)
+        checked = 0
+        for nx in sizes_upto(3):
+            for ny in sizes_upto(3):
+                X, Y = S("X", nx), S("Y", ny)
+                odd, even = maps_between(Y, X, prefix="s"), maps_between(X, Y, prefix="s")
+                for f in maps_between(X, Y, prefix="f"):
+                    for n in range(1, 5):
+                        chains = find_chains(f, n, limit=3).chains
+                        for _ in range(3):
+                            stars = [rng.choice(odd if k % 2 else even) for k in range(1, n + 1)]
+                            chains.append(make_chain(f, stars))
+                        for c in chains:
+                            v = check_chain(c)
+                            got = (v.odd_closure, v.even_closure, v.ef_form, v.obstructor,
+                                   v.obstructor_idempotent, v.failures)
+                            assert got == compose_path_verdict(c)
+                            checked += 1
+        assert checked > 1000
 
 
 class TestFindChains:

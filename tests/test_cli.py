@@ -156,6 +156,36 @@ class TestDiagramCommands:
         assert c["edges"] == ["f", "g", "h"]
         assert c["obstructor"] == {"x0": "x0", "x1": "x1", "x2": "x1"}
 
+    @pytest.mark.parametrize("argv, counts", [
+        (("diagram", TRIANGLE, "--name", "D", "--mode", "semicommutative", "--max-len", "3"),
+         {"paths": 9, "cycles": 3}),
+        (("diagram", TRIANGLE, "--name", "D", "--mode", "commutative", "--max-len", "3"),
+         {"paths": 9, "cycles": 1}),
+        (("obstruction", TRIANGLE, "--name", "D", "--object", "X", "--max-n", "5"),
+         {"paths": 3, "cycles": 1}),
+    ])
+    def test_walk_counters(self, capsys, argv, counts):
+        # prefixes composed and closed paths checked, the same on every run
+        runs = [run_json(capsys, *argv)[1]["counts"] for _ in range(2)]
+        assert runs == [counts, counts]
+
+    def test_long_ring_needs_no_recursion(self, tmp_path, capsys):
+        # 1,200 one-element objects in a ring: the only cycle has 1,200 edges
+        n = 1200
+        lines = [f"set O{i} = {{ o{i} }}" for i in range(n)]
+        lines += [f"map l{i} : O{i} -> O{(i + 1) % n} {{ o{i} -> o{(i + 1) % n} }}" for i in range(n)]
+        lines.append("diagram L { " + ", ".join(f"l{i}" for i in range(n)) + " }")
+        ring = tmp_path / "ring.rcw"
+        ring.write_text("\n".join(lines) + "\n")
+        code, rep = run_json(capsys, "obstruction", str(ring), "--name", "L",
+                             "--object", "O0", "--max-n", str(n))
+        assert code == 0 and rep["result"]["n_obstr"] is None
+        assert rep["counts"] == {"paths": n, "cycles": 1}
+        code, rep = run_json(capsys, "diagram", str(ring), "--name", "L",
+                             "--mode", "commutative", "--max-len", str(n))
+        assert code == 0 and rep["result"]["verdict"]
+        assert rep["counts"] == {"paths": n * n, "cycles": n}
+
     def test_functor_identity(self, capsys):
         code, rep = run_json(
             capsys, "functor", TRIANGLE, "--from", "D", "--to", "D",

@@ -13,6 +13,7 @@ from regcat.core import (
     check_subset_regularity,
     classify_map,
     compose,
+    compose_path,
     direct_image,
     identity,
     inverse_image,
@@ -87,6 +88,28 @@ class TestCompose:
             for g in maps_between(sets[1], sets[2]):
                 for h in maps_between(sets[2], sets[3]):
                     assert compose(h, compose(g, f)) == compose(compose(h, g), f)
+
+
+class TestComposePath:
+    def test_is_the_compose_fold(self):
+        # same name, endpoints and table as composing one step at a time
+        A, B, C = S("A", 2), S("B", 3), S("C", 2)
+        for f in maps_between(A, B, "f"):
+            for g in maps_between(B, C, "g")[::7]:
+                for path in ([f], [f, g], [f, g, fm("h", C, A, (1, 0)), f]):
+                    want = path[0]
+                    for m in path[1:]:
+                        want = compose(m, want)
+                    got = compose_path(path)
+                    assert (got, got.name, got.dom, got.cod) == (want, want.name, want.dom, want.cod)
+
+    def test_type_mismatch(self):
+        f = fm("f", X3, Y2, (0, 0, 1))
+        with pytest.raises(TypeMismatch):
+            compose_path([f, fm("g", Z2, X3, (0, 1))])
+        # same id, other size
+        with pytest.raises(TypeMismatch):
+            compose_path([f, fm("g", S("Y", 3), X3, (0, 1, 2))])
 
 
 class TestIdentity:

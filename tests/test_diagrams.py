@@ -1,9 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import S, fm
-from regcat.core import compose, identity, tensor
+from helpers import (
+    S,
+    fm,
+    oracle_all_cycles,
+    oracle_cycles_at,
+    oracle_functor_obstructors,
+    oracle_is_commutative,
+    oracle_is_semicommutative,
+    oracle_obstruction_number,
+)
+from regcat.core import FiniteSet, compose, compose_path, identity, tensor
 from regcat.diagrams import (
     Cycle,
     Diagram,
@@ -26,6 +36,7 @@ from regcat.errors import (
     DuplicateName,
     IncompatibleEdgeMap,
     NotRegular,
+    TypeMismatch,
     UnknownObject,
     UnknownReference,
 )
@@ -52,6 +63,18 @@ class TestDiagramBuild:
         with pytest.raises(UnknownReference):
             Diagram.build([X], [fm("f", X, Y, (0, 1, 1))])
 
+    def test_endpoint_must_be_the_declared_object(self):
+        # an edge whose endpoint shares an id with a declared object but not its size
+        with pytest.raises(TypeMismatch):
+            Diagram.build([X, Y], [fm("f", S("X", 2), Y, (0, 1))])
+
+    def test_endpoint_labels_may_differ(self):
+        # same id and size, other labels: accepted, as compose accepts it, and checked
+        relabelled = FiniteSet("X", ("p", "q", "r"))
+        d = Diagram.build([X, Y], [fm("f", relabelled, Y, (0, 1, 1)), fm("g", Y, X, (0, 2))])
+        assert obstruction_number(d, "X", 2).n_obstr == 2
+        assert is_semicommutative(d, 2).semicommutative
+
     def test_edges_from_sorted(self):
         d = Diagram.build([X, Y], [fm("b", X, Y, (0, 0, 0)), fm("a", X, Y, (0, 0, 1))])
         assert d.edges_from("X") == ["a", "b"]
@@ -60,6 +83,13 @@ class TestDiagramBuild:
 class TestPaths:
     def test_path_compose(self):
         assert path_compose(TRI, ["f", "g", "h"]).table == (0, 1, 1)
+
+    def test_path_compose_is_compose_path(self):
+        # same table and name as composing the path's FinMaps
+        for path in (["f"], ["f", "g"], ["f", "g", "h"], ["g", "h", "f", "g"]):
+            got = path_compose(TRI, path)
+            want = compose_path([TRI.edges[name] for name in path])
+            assert (got, got.name) == (want, want.name)
 
     def test_broken_path(self):
         with pytest.raises(BrokenPath):
@@ -236,3 +266,152 @@ class TestFunctors:
         # rotation uses e exactly once, so all obstructors are e as well
         rep = check_regular_functor(fd, 3)
         assert rep.e_preserved
+
+
+class TestWalk:
+    # p, q: A -> B disagree, r: B -> A, s: a constant loop at B
+    A2, B2 = S("A", 2), S("B", 2)
+    D = Diagram.build([A2, B2], [
+        fm("p", A2, B2, (0, 1)), fm("q", A2, B2, (1, 0)),
+        fm("r", B2, A2, (0, 1)), fm("s", B2, B2, (0, 0)),
+    ])
+
+    def test_semicommutative_counters(self):
+        # cycle walks skip paths of full length that leave their base:
+        # (p, s), (q, s) and (s, r) are never composed
+        rep = is_semicommutative(self.D, 2)
+        assert (rep.paths, rep.cycles) == (8, 5)
+        assert [v[1:] for v in rep.violations] == [
+            (Cycle("B", ("s",)), "r"),
+            (Cycle("A", ("q", "r")), "p"), (Cycle("A", ("q", "r")), "q"),
+            (Cycle("B", ("r", "q")), "r"),
+        ]
+
+    def test_commutative_counters(self):
+        # at A, q disagrees with p and (q, r) is not the identity, so the walk
+        # stops at one edge; at B only the loop s, shorter still, is composed
+        rep = is_commutative(self.D, 2)
+        assert (rep.paths, rep.cycles) == (6, 3)
+        assert rep.violations == (
+            ("cycle", Cycle("B", ("s",))), ("parallel_paths", ("p",), ("q",)))
+
+    def test_obstruction_counters(self):
+        rep = obstruction_number(self.D, "B", 2)
+        assert (rep.n_obstr, rep.witness) == (1, Cycle("B", ("s",)))
+        assert (rep.paths, rep.cycles) == (4, 3)
+
+    def test_counters_take_no_part_in_equality(self):
+        rep = is_commutative(self.D, 2)
+        assert rep == type(rep)(rep.commutative, rep.violations)
+
+    def test_absorption_is_decided_per_base(self):
+        # both loops have the obstructor (0, 0); only A's edge f fails to absorb it
+        A, B, C = S("A", 2), S("B", 2), S("C", 2)
+        d = Diagram.build([A, B, C], [
+            fm("ea", A, A, (0, 0)), fm("f", A, C, (0, 1)), fm("eb", B, B, (0, 0)),
+        ])
+        rep = is_semicommutative(d, 1)
+        assert rep.violations == (("absorption", Cycle("A", ("ea",)), "f"),)
+        assert rep == oracle_is_semicommutative(d, 1)
+
+    def test_long_cycle(self):
+        # the walk keeps no Python frame per edge
+        n = 3000
+        objs = [S(f"O{i}", 1) for i in range(n)]
+        d = Diagram.build(objs, [fm(f"l{i}", objs[i], objs[(i + 1) % n], (0,)) for i in range(n)])
+        rep = obstruction_number(d, "O0", n)
+        assert rep.n_obstr is None and (rep.paths, rep.cycles) == (n, 1)
+        assert [c.length for c in cycles_at(d, "O0", n)] == [n]
+
+
+# --- the walk against the length-by-length oracle -----------------------------
+
+
+def assert_walk_matches_oracle(d, max_len):
+    """Every walk-based check returns the oracle's report, violations in order."""
+    assert is_commutative(d, max_len) == oracle_is_commutative(d, max_len)
+    assert is_semicommutative(d, max_len) == oracle_is_semicommutative(d, max_len)
+    assert list(all_cycles(d, max_len)) == list(oracle_all_cycles(d, max_len))
+    for base in sorted(d.objects):
+        assert obstruction_number(d, base, max_len) == oracle_obstruction_number(d, base, max_len)
+        for n in range(1, max_len + 1):
+            assert list(cycles_at(d, base, n)) == list(oracle_cycles_at(d, base, n))
+
+
+@st.composite
+def diagrams(draw, prefix="O", max_objects=3, max_edges=5):
+    """Up to 3 objects of up to 3 elements and up to 5 edges, loops and parallels included."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=max_objects))
+    objs = [S(f"{prefix}{i}", n) for i, n in enumerate(sizes)]
+    edges = []
+    for k in range(draw(st.integers(0, max_edges))):
+        a = draw(st.sampled_from(objs))
+        b = draw(st.sampled_from([o for o in objs if o.cardinality or not a.cardinality]))
+        table = draw(st.lists(st.integers(0, max(b.cardinality - 1, 0)),
+                              min_size=a.cardinality, max_size=a.cardinality))
+        edges.append(fm(f"{prefix.lower()}{k}", a, b, table))
+    return Diagram.build(objs, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagrams(), st.integers(1, 4))
+def test_walk_matches_oracle(d, max_len):
+    assert_walk_matches_oracle(d, max_len)
+
+
+@st.composite
+def functors(draw):
+    """A source diagram, a target holding an image for each source edge, and the maps."""
+    src = draw(diagrams("A"))
+    # images of empty objects are empty, of the others not, so every image edge exists
+    tgt_objs = [S("B0", 0)] + [S(f"B{i}", n) for i, n in enumerate(
+        draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)), start=1)]
+    object_map = {}
+    for o in sorted(src.objects):
+        fits = [t for t in tgt_objs if bool(t.cardinality) == bool(src.objects[o].cardinality)]
+        object_map[o] = draw(st.sampled_from(fits)).id
+    tgt = draw(diagrams("C"))  # extra edges, on objects of their own
+    by_id = {t.id: t for t in tgt_objs}
+    edges, edge_map = [], {}
+    for name in sorted(src.edges):
+        m = src.edges[name]
+        a, b = by_id[object_map[m.dom.id]], by_id[object_map[m.cod.id]]
+        reuse = [e for e in edges if e.dom.id == a.id and e.cod.id == b.id]
+        if reuse and draw(st.booleans()):
+            edge_map[name] = draw(st.sampled_from(reuse)).name
+            continue
+        table = draw(st.lists(st.integers(0, max(b.cardinality - 1, 0)),
+                              min_size=a.cardinality, max_size=a.cardinality))
+        edges.append(fm(f"img{len(edges)}", a, b, table))
+        edge_map[name] = edges[-1].name
+    for k in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(tgt_objs)), draw(st.sampled_from(tgt_objs))
+        if a.cardinality and not b.cardinality:
+            continue
+        table = draw(st.lists(st.integers(0, max(b.cardinality - 1, 0)),
+                              min_size=a.cardinality, max_size=a.cardinality))
+        edges.append(fm(f"extra{k}", a, b, table))
+    target = Diagram.build([*tgt_objs, *tgt.objects.values()], [*edges, *tgt.edges.values()])
+    return FunctorData(src, target, object_map, edge_map)
+
+
+@settings(max_examples=100, deadline=None)
+@given(functors(), st.integers(1, 4))
+def test_functor_obstructors_match_oracle(fd, n):
+    rep = check_regular_functor(fd, n)
+    obstructed = [v for v in rep.violations if v[0] == "obstructor"]
+    assert obstructed == oracle_functor_obstructors(fd, n)
+    identity_ok = not any(v[0] == "identity" for v in rep.violations)
+    assert rep.e_preserved == (identity_ok and not obstructed)
+
+
+def test_walk_matches_oracle_on_criterion_6_samples():
+    # the generator of acceptance criterion 6, same seed, first 300 samples
+    rng = random.Random(20260823)
+    for _ in range(300):
+        objs = [S(f"O{i}", rng.randint(1, 3)) for i in range(rng.randint(1, 3))]
+        edges = []
+        for k in range(rng.randint(1, 5)):
+            a, b = rng.choice(objs), rng.choice(objs)
+            edges.append(fm(f"e{k}", a, b, tuple(rng.randrange(b.cardinality) for _ in range(a.cardinality))))
+        assert_walk_matches_oracle(Diagram.build(objs, edges), 4)
