@@ -68,10 +68,7 @@ class ObstructorAssignment:
 
     def __post_init__(self):
         for e in self.obstructors.values():
-            if not e.is_endo():
-                raise TypeMismatch(e.dom.id, e.cod.id, "obstructor must be an endomap")
-            if compose(e, e) != e:
-                raise NotIdempotent(e.name)
+            _require_idempotent_endo(e, e.dom)
             if self.level == 1 and not e.is_identity():
                 raise NotIdempotent(f"{e.name} (level 1 forces the identity)")
 
@@ -188,7 +185,7 @@ def ybe_side_maps(b: Braiding, e: FinMap) -> tuple[FinMap, FinMap]:
     """Both sides of the regularized YBE as maps on X³, built from prebraids.
 
     Single-carrier only; serves as the compositional route against which the
-    direct pointwise evaluation of check_ybe can be cross-checked.
+    triple kernel of check_ybe can be cross-checked.
     """
     if b.left.id != b.right.id:
         raise TypeMismatch(b.left.id, b.right.id, "single-carrier check")
@@ -207,7 +204,8 @@ def _ybe_sides(s: int, table, e, x: int, y: int, z: int):
     """Both sides of the regularized YBE at one triple, per component.
 
     ``table`` may contain -1 for unassigned braiding entries; undetermined
-    components come back as None so partial tables can be checked.
+    components come back as None so partial tables can be checked.  With
+    ``_consistent``, the reference the tests hold ``_first_violation`` to.
     """
     # LHS = B^R ∘ B^L ∘ B^R
     l0 = l1 = l2 = None
@@ -253,7 +251,11 @@ class YbeResult:
 
 
 def check_ybe(b: Braiding, e: FinMap, mode: str) -> YbeResult:
-    """Pointwise check of the (regularized) Yang-Baxter equation on X³."""
+    """The (regularized) Yang-Baxter equation on X³, with the least failing triple.
+
+    On a full table every component is determined, so the solver's triple
+    kernel, run over all triples in lex order, stops at that triple.
+    """
     if b.left.id != b.right.id:
         raise TypeMismatch(b.left.id, b.right.id, "single-carrier check")
     X = b.left
@@ -263,14 +265,12 @@ def check_ybe(b: Braiding, e: FinMap, mode: str) -> YbeResult:
     elif mode not in ("classical", "regular"):
         raise ValueError(f"unknown mode {mode!r}")
     s = X.cardinality
-    table = list(b.map.table)
-    for x in range(s):
-        for y in range(s):
-            for z in range(s):
-                lhs, rhs = _ybe_sides(s, table, e.table, x, y, z)
-                if lhs != rhs:
-                    return YbeResult(False, (X.label(x), X.label(y), X.label(z)))
-    return YbeResult(True, None)
+    bad = _first_violation(b.map.table, _triple_constants(s, e.table), _lookups(s, e.table))
+    if not bad:
+        return YbeResult(True, None)
+    x, yz = divmod(bad - 1, s * s)
+    y, z = divmod(yz, s)
+    return YbeResult(False, (X.label(x), X.label(y), X.label(z)))
 
 
 def enumerate_idempotents(X: FiniteSet) -> list[FinMap]:

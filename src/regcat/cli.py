@@ -172,7 +172,7 @@ def _cmd_projector(ws: Workspace, ns) -> Report:
 def _cmd_diagram(ws: Workspace, ns) -> Report:
     d = ws.build_diagram(ns.name)
     check = diagrams.is_commutative if ns.mode == "commutative" else diagrams.is_semicommutative
-    rep = check(d, ns.max_len)
+    rep = check(d, ns.max_len, max_space=ns.max_space)
     witnesses = []
     for v in rep.violations:
         if v[0] == "cycle":
@@ -194,7 +194,7 @@ def _cmd_diagram(ws: Workspace, ns) -> Report:
 
 def _cmd_obstruction(ws: Workspace, ns) -> Report:
     d = ws.build_diagram(ns.name)
-    rep = diagrams.obstruction_number(d, ns.object, ns.max_n)
+    rep = diagrams.obstruction_number(d, ns.object, ns.max_n, max_space=ns.max_space)
     result = {
         "diagram": ns.name,
         "object": ns.object,
@@ -248,7 +248,7 @@ def _cmd_functor(ws: Workspace, ns) -> Report:
         object_map=_parse_pairs(ns.objects, "--objects"),
         edge_map=_parse_pairs(ns.maps, "--maps"),
     )
-    rep = diagrams.check_regular_functor(fd, ns.n)
+    rep = diagrams.check_regular_functor(fd, ns.n, max_space=ns.max_space)
     witnesses = []
     for v in rep.violations:
         if v[0] == "composition":

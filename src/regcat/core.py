@@ -63,10 +63,6 @@ class FiniteSet:
         return len(self.elements)
 
 
-def finite_set(id: str, labels: Iterable[str]) -> FiniteSet:
-    return FiniteSet(id, tuple(labels))
-
-
 @dataclass(frozen=True, eq=False)
 class FinMap:
     """A total map between two finite sets, stored as a table of indices.
@@ -188,10 +184,6 @@ def build_map(
     return FinMap(name, dom, cod, tuple(table))  # type: ignore[arg-type]
 
 
-def map_from_table(name: str, dom: FiniteSet, cod: FiniteSet, table: Sequence[int]) -> FinMap:
-    return FinMap(name, dom, cod, tuple(table))
-
-
 def identity(X: FiniteSet) -> FinMap:
     return FinMap(f"id_{X.id}", X, X, tuple(range(X.cardinality)))
 
@@ -253,10 +245,6 @@ def classify_map(f: FinMap) -> MapClassification:
     if f.is_endo():
         idem = all(f.table[v] == v for v in f.table)
     return MapClassification(inj, surj, inj and surj, idem)
-
-
-def image(f: FinMap) -> frozenset[int]:
-    return frozenset(f.table)
 
 
 def direct_image(f: FinMap, A: Subset) -> Subset:

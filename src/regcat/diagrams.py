@@ -20,7 +20,8 @@ edge names, so checks order what they find by (length, base, path): the
 order of a search that walks each length in turn.  A check that only needs
 the first violation cuts the walk to shorter paths once it has one.
 Absorption f∘e = f is decided once per base and obstructor table, since a
-diagram's many cycles share few obstructors.
+diagram's many cycles share few obstructors.  A walk that composes more path
+prefixes than its bound raises ``SearchSpaceTooLarge``.
 """
 
 from __future__ import annotations
@@ -35,10 +36,12 @@ from .errors import (
     DuplicateName,
     IncompatibleEdgeMap,
     NotRegular,
+    SearchSpaceTooLarge,
     TypeMismatch,
     UnknownObject,
     UnknownReference,
 )
+from .inverses import DEFAULT_MAX_SPACE
 
 
 @dataclass(frozen=True)
@@ -100,12 +103,13 @@ def path_compose(d: Diagram, path: Iterable[str]) -> FinMap:
 class _Walk:
     """One diagram's adjacency, built once per check, and the work done walking it."""
 
-    def __init__(self, d: Diagram):
+    def __init__(self, d: Diagram, bound: int = DEFAULT_MAX_SPACE):
         self.out: dict[str, list[tuple[str, str, tuple[int, ...]]]] = {o: [] for o in d.objects}
         for name in sorted(d.edges):
             m = d.edges[name]
             self.out[m.dom.id].append((name, m.cod.id, m.table))
         self.unit = {o: tuple(range(s.cardinality)) for o, s in d.objects.items()}
+        self.bound = bound  # the most path prefixes the walk may compose
         self.depth = 0   # the longest paths the walk in progress still visits
         self.paths = 0   # path prefixes composed
         self.cycles = 0  # closed paths checked
@@ -142,6 +146,8 @@ class _Walk:
                 continue
             table = tuple([t[v] for v in tables[-1]])
             self.paths += 1
+            if self.paths > self.bound:
+                raise SearchSpaceTooLarge(self.paths, self.bound, hint=None)
             path.append(name)
             yield path, end, table
             if k < self.depth:
@@ -274,7 +280,9 @@ class CommutativityReport:
     cycles: int = _count()
 
 
-def is_commutative(d: Diagram, max_len: int) -> CommutativityReport:
+def is_commutative(
+    d: Diagram, max_len: int, max_space: int = DEFAULT_MAX_SPACE
+) -> CommutativityReport:
     """True iff all cycles compose to the identity and parallel paths agree.
 
     Parallel-path equality is the standard reading of a commutative diagram;
@@ -282,7 +290,7 @@ def is_commutative(d: Diagram, max_len: int) -> CommutativityReport:
     path is compared with the first path to its end only: every path met
     before it agrees with that one, or the check would have stopped.
     """
-    walk = _Walk(d)
+    walk = _Walk(d, max_space)
     cycle, pair = _first_failures(walk, sorted(d.objects), max_len, pairs=True)
     violations: list[tuple] = []
     if cycle is not None:
@@ -300,14 +308,16 @@ class SemicommutativityReport:
     cycles: int = _count()
 
 
-def is_semicommutative(d: Diagram, max_len: int) -> SemicommutativityReport:
+def is_semicommutative(
+    d: Diagram, max_len: int, max_space: int = DEFAULT_MAX_SPACE
+) -> SemicommutativityReport:
     """Every cycle obstructor must be absorbed by every edge leaving its base.
 
     Violations come by (length, base, path), then edge name.  The failing
     edges depend only on the base and the obstructor table, so they are
     worked out once per pair.
     """
-    walk = _Walk(d)
+    walk = _Walk(d, max_space)
     levels: list[list[tuple]] = [[] for _ in range(max_len + 1)]
     failing: dict[tuple[str, tuple[int, ...]], list[str]] = {}
     for base in sorted(d.objects):
@@ -333,11 +343,13 @@ class ObstructionReport:
     cycles: int = _count()
 
 
-def obstruction_number(d: Diagram, X: str, max_n: int) -> ObstructionReport:
+def obstruction_number(
+    d: Diagram, X: str, max_n: int, max_space: int = DEFAULT_MAX_SPACE
+) -> ObstructionReport:
     """Least cycle length at X whose obstructor differs from the identity."""
     if X not in d.objects:
         raise UnknownObject(X)
-    walk = _Walk(d)
+    walk = _Walk(d, max_space)
     c, _ = _first_failures(walk, [X], max_n, pairs=False)
     return ObstructionReport(None if c is None else c.length, c, walk.paths, walk.cycles)
 
@@ -373,38 +385,24 @@ def find_regular_3cycles(d: Diagram) -> list[RegularThreeCycle]:
 
     Directed 3-cycles of distinct edges are grouped up to cyclic rotation;
     for each class the lexicographically least rotation (by edge names)
-    whose own regularity condition holds is emitted.
+    whose own regularity condition holds is emitted.  Classes come in the
+    order of their least rotations.  The walk closes every rotation at its
+    own base, so each class is found whole.
     """
-    triples = []
-    names = sorted(d.edges)
-    for a in names:
-        ea = d.edges[a]
-        for b in names:
-            if b == a:
-                continue
-            eb = d.edges[b]
-            if eb.dom.id != ea.cod.id:
-                continue
-            for c in names:
-                if c in (a, b):
-                    continue
-                ec = d.edges[c]
-                if ec.dom.id == eb.cod.id and ec.cod.id == ea.dom.id:
-                    triples.append((a, b, c))
-    seen: set[tuple[str, str, str]] = set()
+    walk = _Walk(d)
+    closed: dict[tuple[str, ...], tuple[int, ...]] = {}
+    for base in sorted(d.objects):
+        for path, e in walk.cycles_at(base, 3):
+            if len(path) == 3:
+                closed[tuple(path)] = e
     out = []
-    for t in sorted(triples):
+    for t in sorted(closed):
         rots = sorted([t, (t[1], t[2], t[0]), (t[2], t[0], t[1])])
-        key = rots[0]
-        if key in seen:
+        if t != rots[0]:
             continue
-        seen.add(key)
-        for fa, fb, fc in rots:
-            if (fa, fb, fc) not in triples:
-                continue
-            f, g, h = d.edges[fa], d.edges[fb], d.edges[fc]
-            e = compose(h, compose(g, f))
-            if compose(f, e) == f:
+        for names in rots:
+            f, g, h = (d.edges[name] for name in names)
+            if tuple([f.table[v] for v in closed[names]]) == f.table:
                 out.append(RegularThreeCycle(f.dom, g.dom, h.dom, f, g, h))
                 break
     return out
@@ -443,16 +441,19 @@ class FunctorReport:
     violations: tuple[tuple, ...]
 
 
-def check_regular_functor(fd: FunctorData, n: int) -> FunctorReport:
+def check_regular_functor(
+    fd: FunctorData, n: int, max_space: int = DEFAULT_MAX_SPACE
+) -> FunctorReport:
     """Composition preservation plus level-n obstructor preservation.
 
     Composition is checked on composable edge pairs whose composite is itself
-    a named source edge.  Obstructor preservation at level 1 is the standard
-    identity-preservation requirement (source identity edges must map to
-    identity maps).  At level m >= 2 the composed image of every source cycle
-    of length m is compared against the obstructor of every target cycle of
-    the same length at the image object; verdicts are reported per pair since
-    no selection rule is available when several cycles share a base.
+    a named source edge, in order of the three names.  Obstructor
+    preservation at level 1 is the standard identity-preservation requirement
+    (source identity edges must map to identity maps).  At level m >= 2 the
+    composed image of every source cycle of length m is compared against the
+    obstructor of every target cycle of the same length at the image object;
+    verdicts are reported per pair since no selection rule is available when
+    several cycles share a base.
     """
     src, tgt = fd.source, fd.target
     for oid in src.objects:
@@ -474,22 +475,23 @@ def check_regular_functor(fd: FunctorData, n: int) -> FunctorReport:
             )
 
     violations: list[tuple] = []
+    src_walk, tgt_walk = _Walk(src, max_space), _Walk(tgt, max_space)
 
-    comp_ok = True
+    # images share their composites' endpoints, so their tables decide
+    named: dict[tuple[str, str, tuple[int, ...]], list[str]] = {}
     names = sorted(src.edges)
+    for name in names:
+        m = src.edges[name]
+        named.setdefault((m.dom.id, m.cod.id, m.table), []).append(name)
+    image = {name: tgt.edges[fd.edge_map[name]].table for name in names}
     for a in names:
         ea = src.edges[a]
-        for b in names:
-            eb = src.edges[b]
-            if eb.dom.id != ea.cod.id:
-                continue
-            comp = compose(eb, ea)
-            for cname in names:
-                if src.edges[cname] == comp:
-                    img = compose(tgt.edges[fd.edge_map[b]], tgt.edges[fd.edge_map[a]])
-                    if img != tgt.edges[fd.edge_map[cname]]:
-                        comp_ok = False
-                        violations.append(("composition", a, b, cname))
+        for b, cod, tb in src_walk.out[ea.cod.id]:
+            for c in named.get((ea.dom.id, cod, tuple([tb[v] for v in ea.table])), ()):
+                ib = image[b]
+                if tuple([ib[v] for v in image[a]]) != image[c]:
+                    violations.append(("composition", a, b, c))
+    comp_ok = not violations
 
     e_ok = True
     for name in names:
@@ -498,7 +500,6 @@ def check_regular_functor(fd: FunctorData, n: int) -> FunctorReport:
             e_ok = False
             violations.append(("identity", name))
     levels: list[list[tuple]] = [[] for _ in range(n + 1)]
-    src_walk, tgt_walk = _Walk(src), _Walk(tgt)
     tgt_levels: dict[str, list] = {}
     for base in sorted(src.objects):
         tgt_base = fd.object_map[base]

@@ -6,11 +6,13 @@ they stay independent of the library code paths they check.
 
 from itertools import product
 
+from regcat.braiding import YbeResult, _ybe_sides
 from regcat.core import FinMap, FiniteSet, compose, compose_path
 from regcat.diagrams import (
     CommutativityReport,
     Cycle,
     ObstructionReport,
+    RegularThreeCycle,
     SemicommutativityReport,
 )
 
@@ -200,6 +202,81 @@ def oracle_functor_obstructors(fd, n):
                     if oracle_path_compose(tgt, c2.edges) != p:
                         violations.append(("obstructor", c, c2))
     return violations
+
+
+def oracle_regular_3cycles(d):
+    """find_regular_3cycles by sweeping every triple of edge names."""
+    triples = []
+    names = sorted(d.edges)
+    for a in names:
+        ea = d.edges[a]
+        for b in names:
+            if b == a:
+                continue
+            eb = d.edges[b]
+            if eb.dom.id != ea.cod.id:
+                continue
+            for c in names:
+                if c in (a, b):
+                    continue
+                ec = d.edges[c]
+                if ec.dom.id == eb.cod.id and ec.cod.id == ea.dom.id:
+                    triples.append((a, b, c))
+    seen = set()
+    out = []
+    for t in sorted(triples):
+        rots = sorted([t, (t[1], t[2], t[0]), (t[2], t[0], t[1])])
+        key = rots[0]
+        if key in seen:
+            continue
+        seen.add(key)
+        for fa, fb, fc in rots:
+            if (fa, fb, fc) not in triples:
+                continue
+            f, g, h = d.edges[fa], d.edges[fb], d.edges[fc]
+            e = compose(h, compose(g, f))
+            if compose(f, e) == f:
+                out.append(RegularThreeCycle(f.dom, g.dom, h.dom, f, g, h))
+                break
+    return out
+
+
+def oracle_functor_composition(fd):
+    """The composition violations of check_regular_functor, by sweeping every
+    pair of source edges and every candidate composite."""
+    src, tgt = fd.source, fd.target
+    violations = []
+    names = sorted(src.edges)
+    for a in names:
+        ea = src.edges[a]
+        for b in names:
+            eb = src.edges[b]
+            if eb.dom.id != ea.cod.id:
+                continue
+            comp = compose(eb, ea)
+            for cname in names:
+                if src.edges[cname] == comp:
+                    img = compose(tgt.edges[fd.edge_map[b]], tgt.edges[fd.edge_map[a]])
+                    if img != tgt.edges[fd.edge_map[cname]]:
+                        violations.append(("composition", a, b, cname))
+    return violations
+
+
+# --- YBE verdict oracle -------------------------------------------------------------
+
+
+def oracle_check_ybe(b, e):
+    """check_ybe's verdict, comparing both sides triple by triple with _ybe_sides."""
+    X = b.left
+    s = X.cardinality
+    table = list(b.map.table)
+    for x in range(s):
+        for y in range(s):
+            for z in range(s):
+                lhs, rhs = _ybe_sides(s, table, e.table, x, y, z)
+                if lhs != rhs:
+                    return YbeResult(False, (X.label(x), X.label(y), X.label(z)))
+    return YbeResult(True, None)
 
 
 # --- chain verdict oracle ----------------------------------------------------------

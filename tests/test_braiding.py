@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import S, fm
+from helpers import S, fm, oracle_check_ybe
 from regcat.braiding import (
     Braiding,
     ObstructorAssignment,
@@ -170,6 +170,21 @@ class TestCheckYbe:
                 assert check_ybe(b, e, "regular").holds == naive_ybe_holds(
                     2, tab, e.table
                 )
+
+
+IDEMPOTENTS = [e for s in range(4) for e in enumerate_idempotents(S("U", s))]
+
+
+@pytest.mark.parametrize("e", IDEMPOTENTS, ids=lambda e: ",".join(map(str, e.table)) or "empty")
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_check_ybe_matches_pointwise_oracle(e, data):
+    # verdict and least failing triple, for every idempotent of a carrier of 0..3 elements
+    X = e.dom
+    n2 = X.cardinality ** 2
+    table = data.draw(st.lists(st.integers(0, max(n2 - 1, 0)), min_size=n2, max_size=n2))
+    b = braiding_from_table("b", X, X, table)
+    assert check_ybe(b, e, "regular") == oracle_check_ybe(b, e)
 
 
 class TestIdempotents:

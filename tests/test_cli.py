@@ -169,6 +169,20 @@ class TestDiagramCommands:
         runs = [run_json(capsys, *argv)[1]["counts"] for _ in range(2)]
         assert runs == [counts, counts]
 
+    @pytest.mark.parametrize("argv, paths", [
+        (("diagram", TRIANGLE, "--name", "D", "--mode", "semicommutative", "--max-len", "3"), 9),
+        (("diagram", TRIANGLE, "--name", "D", "--mode", "commutative", "--max-len", "3"), 9),
+        (("obstruction", TRIANGLE, "--name", "D", "--object", "X", "--max-n", "5"), 3),
+        # each of the functor's two walks, source and target, composes 9 prefixes
+        (("functor", TRIANGLE, "--from", "D", "--to", "D", "--objects", "X=X,Y=Y,Z=Z",
+          "--maps", "f=f,g=g,h=h", "--n", "3"), 9),
+    ])
+    def test_max_space_bounds_the_walk(self, capsys, argv, paths):
+        # a walk may compose as many path prefixes as the bound, and no more
+        code, _ = run(capsys, *argv)
+        assert run(capsys, *argv, "--max-space", str(paths))[0] == code
+        assert run(capsys, *argv, "--max-space", str(paths - 1)) == (3, "")
+
     def test_long_ring_needs_no_recursion(self, tmp_path, capsys):
         # 1,200 one-element objects in a ring: the only cycle has 1,200 edges
         n = 1200

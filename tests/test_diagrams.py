@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +9,12 @@ from helpers import (
     fm,
     oracle_all_cycles,
     oracle_cycles_at,
+    oracle_functor_composition,
     oracle_functor_obstructors,
     oracle_is_commutative,
     oracle_is_semicommutative,
     oracle_obstruction_number,
+    oracle_regular_3cycles,
 )
 from regcat.core import FiniteSet, compose, compose_path, identity, tensor
 from regcat.diagrams import (
@@ -317,11 +320,27 @@ class TestWalk:
     def test_long_cycle(self):
         # the walk keeps no Python frame per edge
         n = 3000
-        objs = [S(f"O{i}", 1) for i in range(n)]
-        d = Diagram.build(objs, [fm(f"l{i}", objs[i], objs[(i + 1) % n], (0,)) for i in range(n)])
+        d = ring(n)
         rep = obstruction_number(d, "O0", n)
         assert rep.n_obstr is None and (rep.paths, rep.cycles) == (n, 1)
         assert [c.length for c in cycles_at(d, "O0", n)] == [n]
+
+    def test_ring_3cycles_and_composition_are_not_quadratic(self):
+        # the ring has no 3-cycle and no edge that is a composite: a sweep of
+        # all pairs of its 3,000 edges takes seconds, a walk milliseconds
+        d = ring(3000)
+        fd = FunctorData(d, d, {o: o for o in d.objects}, {e: e for e in d.edges})
+        for check, empty in ((lambda: find_regular_3cycles(d), []),
+                             (lambda: check_regular_functor(fd, 1).violations, ())):
+            start = time.perf_counter()
+            assert check() == empty
+            assert time.perf_counter() - start < 0.5
+
+
+def ring(n):
+    """n one-element objects in a ring of n edges."""
+    objs = [S(f"O{i}", 1) for i in range(n)]
+    return Diagram.build(objs, [fm(f"l{i}", objs[i], objs[(i + 1) % n], (0,)) for i in range(n)])
 
 
 # --- the walk against the length-by-length oracle -----------------------------
@@ -403,6 +422,24 @@ def test_functor_obstructors_match_oracle(fd, n):
     assert obstructed == oracle_functor_obstructors(fd, n)
     identity_ok = not any(v[0] == "identity" for v in rep.violations)
     assert rep.e_preserved == (identity_ok and not obstructed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagrams(max_edges=6))
+def test_regular_3cycles_match_oracle(d):
+    def summary(cycles):
+        return [((c.f.name, c.g.name, c.h.name), c.obstructor.table) for c in cycles]
+
+    assert summary(find_regular_3cycles(d)) == summary(oracle_regular_3cycles(d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(functors())
+def test_functor_composition_matches_oracle(fd):
+    rep = check_regular_functor(fd, 1)
+    composition = [v for v in rep.violations if v[0] == "composition"]
+    assert composition == oracle_functor_composition(fd)
+    assert rep.composition_preserved == (not composition)
 
 
 def test_walk_matches_oracle_on_criterion_6_samples():

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "regcat"
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,3 +29,47 @@ def test_no_unused_imports():
     }
     assert "cli.py" in found
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def module_level_names(source: str) -> list[str]:
+    """Functions, classes and constants a module defines at its top level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("__")]
+
+
+def references(source: str) -> set[str]:
+    """Names a module reads, attributes it reads and names it imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def unreferenced(src: Path, tests: Path) -> list[str]:
+    """Top-level names of the package that neither it nor the tests refer to.
+
+    An import counts, so a name ``__init__.py`` re-exports is referenced.
+    """
+    sources = [p.read_text() for p in [*sorted(src.glob("*.py")), *sorted(tests.glob("*.py"))]]
+    used = set().union(*map(references, sources))
+    return sorted(
+        name
+        for p in sorted(src.glob("*.py"))
+        for name in module_level_names(p.read_text())
+        if name not in used
+    )
+
+
+def test_no_dead_code():
+    assert unreferenced(SRC, TESTS) == []
