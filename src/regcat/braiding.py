@@ -20,8 +20,8 @@ from multiprocessing import Pool
 from typing import Optional, Union
 
 from .core import FinMap, FiniteSet, ProductSet, compose, identity
-from .errors import CarrierTooLarge, NotIdempotent, SearchSpaceTooLarge, TypeMismatch
-from .inverses import DEFAULT_MAX_SPACE, section_inner_inverse
+from .errors import NotIdempotent, SearchSpaceTooLarge, TypeMismatch
+from .inverses import DEFAULT_MAX_SPACE, _outer_tables, is_inverse, section_inner_inverse
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,12 @@ def check_regular_braiding(b: Braiding, b_star: Braiding) -> bool:
     """Regularity b∘b*∘b = b, the weakened symmetry condition."""
     if b_star.left.id != b.right.id or b_star.right.id != b.left.id:
         raise TypeMismatch(f"{b.right.id}⊗{b.left.id}", f"{b_star.left.id}⊗{b_star.right.id}")
-    return compose(b.map, compose(b_star.map, b.map)) == b.map
+    return is_inverse(b.map, b_star.map, "inner")
 
 
 def check_prebraid_regularity(p: FinMap, p_star: FinMap) -> bool:
-    if p_star.dom.id != p.cod.id or p_star.cod.id != p.dom.id:
-        raise TypeMismatch(f"{p.cod.id}->{p.dom.id}", f"{p_star.dom.id}->{p_star.cod.id}")
-    return compose(p, compose(p_star, p)) == p
+    """Regularity p∘p*∘p = p of a prebraid p: p* is an inner inverse of p."""
+    return is_inverse(p, p_star, "inner")
 
 
 def canonical_braiding_star(b: Braiding) -> Braiding:
@@ -274,14 +273,13 @@ def check_ybe(b: Braiding, e: FinMap, mode: str) -> YbeResult:
 
 
 def enumerate_idempotents(X: FiniteSet) -> list[FinMap]:
-    """All idempotent endomaps of X in lexicographic table order."""
-    from .core import all_maps
+    """All idempotent endomaps of X in lexicographic table order.
 
-    out = []
-    for t in all_maps(X, X, prefix=f"e_{X.id}"):
-        if compose(t, t) == t:
-            out.append(t)
-    return out
+    e∘e = e says that e is an outer inverse of the identity, so the outer
+    inverse search builds them without sweeping all |X|^|X| maps.
+    """
+    tables, _ = _outer_tables(identity(X), None)
+    return [FinMap(f"e_{X.id}{k}", X, X, t) for k, t in enumerate(tables)]
 
 
 def _lookups(s: int, e) -> tuple:
@@ -455,7 +453,6 @@ class YbeProblem:
     mode: str = "regular"  # "classical" | "regular"
     e_spec: Union[str, FinMap] = "identity"  # "identity" | "all" | explicit map
     require_bijective: bool = False
-    max_size: int = 3
     jobs: int = 1
     count_only: bool = False
     max_nodes: int = DEFAULT_MAX_SPACE  # bound on candidate tables tested
@@ -480,8 +477,6 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
     """
     X = problem.carrier
     s = X.cardinality
-    if s > problem.max_size:
-        raise CarrierTooLarge(s, problem.max_size)
     if problem.mode not in ("classical", "regular"):
         raise ValueError(f"unknown mode {problem.mode!r}")
     if problem.jobs < 1:
@@ -500,19 +495,20 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
     if s == 0:
         # one empty braiding, vacuously a solution
         if problem.max_nodes < 1:
-            raise SearchSpaceTooLarge(1, problem.max_nodes, hint=None)
+            raise SearchSpaceTooLarge(1, problem.max_nodes, "candidate tables")
         b = braiding_from_table("B0", X, X, ())
         sols = [(b, identity(X))]
         return YbeSolutionSet([] if problem.count_only else sols, 1, nodes=1)
 
     # Every branch gets the whole budget and the running total is checked in
     # task order, so whether the bound is hit does not depend on the jobs.
+    # Tasks are made as they are taken, not held as one list of |es|·s² tuples.
     n2 = s * s
-    tasks = [
+    tasks = (
         (s, e.table, first, problem.require_bijective, problem.count_only, problem.max_nodes)
         for e in es
         for first in range(n2)
-    ]
+    )
     solutions: list[tuple[Braiding, FinMap]] = []
     count = nodes = triples = 0
     with Pool(problem.jobs) if problem.jobs > 1 else nullcontext() as pool:
@@ -521,7 +517,7 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
             nodes += n
             triples += t
             if nodes > problem.max_nodes:
-                raise SearchSpaceTooLarge(nodes, problem.max_nodes, hint=None)
+                raise SearchSpaceTooLarge(nodes, problem.max_nodes, "candidate tables")
             if problem.count_only:
                 count += found
                 continue

@@ -184,7 +184,7 @@ def find_chains(
         dom, cod = (Y, X) if k % 2 == 1 else (X, Y)
         space *= map_space_size(dom, cod)
     if limit is None and space > max_space:
-        raise SearchSpaceTooLarge(space, max_space)
+        raise SearchSpaceTooLarge(space, max_space, "candidate towers", "pass a limit to truncate")
 
     stop = None if limit is None else limit + 1
     found: list[StarChain] = []

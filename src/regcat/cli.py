@@ -18,7 +18,7 @@ from . import braiding as br
 from . import chains, diagrams, inverses
 from .core import FinMap, FiniteSet, classify_map
 from .dsl import Workspace, parse_workspace
-from .errors import CarrierTooLarge, RegcatError, SearchSpaceTooLarge
+from .errors import RegcatError, SearchSpaceTooLarge
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
@@ -209,7 +209,7 @@ def _cmd_obstruction(ws: Workspace, ns) -> Report:
 
 def _cmd_cycles3(ws: Workspace, ns) -> Report:
     d = ws.build_diagram(ns.name)
-    found = diagrams.find_regular_3cycles(d)
+    found = diagrams.find_regular_3cycles(d, max_space=ns.max_space)
     return Report(
         command="cycles3",
         result={
@@ -317,7 +317,6 @@ def _cmd_ybe(ws: Optional[Workspace], ns) -> Report:
         mode=ns.mode,
         e_spec=e_spec,
         require_bijective=ns.bijective,
-        max_size=ns.size,
         jobs=ns.jobs,
         count_only=ns.count_only,
         max_nodes=ns.max_space,
@@ -459,8 +458,7 @@ def main(argv=None) -> int:
         # a decode error does not name the file it read; OSError already does
         where = f"{ns.file}: " if isinstance(exc, UnicodeDecodeError) else ""
         print(f"error: {where}{exc}", file=sys.stderr)
-        too_large = isinstance(exc, (SearchSpaceTooLarge, CarrierTooLarge))
-        return RESOURCE_ERROR if too_large else USAGE_ERROR
+        return RESOURCE_ERROR if isinstance(exc, SearchSpaceTooLarge) else USAGE_ERROR
     print(report.to_json() if ns.json else report.to_text())
     return report.exit_code
 

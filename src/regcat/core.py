@@ -189,22 +189,15 @@ def identity(X: FiniteSet) -> FinMap:
 
 
 def compose(g: FinMap, f: FinMap) -> FinMap:
-    """Composite g∘f, applying f first."""
-    if f.cod.id != g.dom.id or f.cod.cardinality != g.dom.cardinality:
-        raise TypeMismatch(g.dom.id, f.cod.id, "compose")
-    return FinMap(
-        f"({g.name}.{f.name})",
-        f.dom,
-        g.cod,
-        tuple(g.table[v] for v in f.table),
-    )
+    """Composite g∘f, applying f first, named ``(g.f)``."""
+    return compose_path((f, g))
 
 
 def compose_path(maps: Sequence[FinMap]) -> FinMap:
     """Compose a nonempty sequence written in application order (first applied first).
 
-    Same name, table and checks as folding :func:`compose`, with one FinMap
-    built for the whole path instead of one per step.
+    ``[f, g, h]`` gives h∘g∘f named ``(h.(g.f))``, with one FinMap built for
+    the whole path instead of one per step.
     """
     first = maps[0]
     name, cod, table = first.name, first.cod, first.table
@@ -283,19 +276,15 @@ def check_subset_regularity(f: FinMap, g: FinMap, mode: str) -> SubsetRegularity
     """
     if g.dom.id != f.cod.id or g.cod.id != f.dom.id:
         raise TypeMismatch(f"{f.cod.id}->{f.dom.id}", f"{g.dom.id}->{g.cod.id}")
-    if mode == "image":
-        for A in subsets_lex(f.dom):
-            fa = direct_image(f, A)
-            if direct_image(f, direct_image(g, fa)).members != fa.members:
-                return SubsetRegularityResult(False, A)
-        return SubsetRegularityResult(True, None)
     if mode == "reflexive":
-        for B in subsets_lex(f.cod):
-            gb = direct_image(g, B)
-            if direct_image(g, direct_image(f, gb)).members != gb.members:
-                return SubsetRegularityResult(False, B)
-        return SubsetRegularityResult(True, None)
-    raise ValueError(f"unknown mode {mode!r}")
+        f, g = g, f  # the image sweep of the pair read the other way round
+    elif mode != "image":
+        raise ValueError(f"unknown mode {mode!r}")
+    for A in subsets_lex(f.dom):
+        fa = direct_image(f, A)
+        if direct_image(f, direct_image(g, fa)).members != fa.members:
+            return SubsetRegularityResult(False, A)
+    return SubsetRegularityResult(True, None)
 
 
 # --- exhaustive enumeration helpers -------------------------------------------

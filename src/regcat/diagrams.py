@@ -147,7 +147,7 @@ class _Walk:
             table = tuple([t[v] for v in tables[-1]])
             self.paths += 1
             if self.paths > self.bound:
-                raise SearchSpaceTooLarge(self.paths, self.bound, hint=None)
+                raise SearchSpaceTooLarge(self.paths, self.bound, "path prefixes")
             path.append(name)
             yield path, end, table
             if k < self.depth:
@@ -380,7 +380,9 @@ class RegularThreeCycle:
         object.__setattr__(self, "obstructor", e)
 
 
-def find_regular_3cycles(d: Diagram) -> list[RegularThreeCycle]:
+def find_regular_3cycles(
+    d: Diagram, max_space: int = DEFAULT_MAX_SPACE
+) -> list[RegularThreeCycle]:
     """All regular 3-cycles of the diagram, one per rotation class.
 
     Directed 3-cycles of distinct edges are grouped up to cyclic rotation;
@@ -389,7 +391,7 @@ def find_regular_3cycles(d: Diagram) -> list[RegularThreeCycle]:
     order of their least rotations.  The walk closes every rotation at its
     own base, so each class is found whole.
     """
-    walk = _Walk(d)
+    walk = _Walk(d, max_space)
     closed: dict[tuple[str, ...], tuple[int, ...]] = {}
     for base in sorted(d.objects):
         for path, e in walk.cycles_at(base, 3):

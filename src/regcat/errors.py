@@ -41,10 +41,12 @@ class SubsetDomainMismatch(RegcatError):
 
 
 class SearchSpaceTooLarge(RegcatError):
-    def __init__(self, size, bound, hint="pass a limit to truncate"):
+    """A search would exceed its bound; ``unit`` names what ``size`` counts."""
+
+    def __init__(self, size, bound, unit, hint=None):
         self.size = size
         self.bound = bound
-        msg = f"search space of {size} candidates exceeds the bound {bound}"
+        msg = f"search space of {size} {unit} exceeds the bound {bound}"
         super().__init__(f"{msg}; {hint}" if hint else msg)
 
 
@@ -97,13 +99,6 @@ class NotIdempotent(RegcatError):
     def __init__(self, name):
         self.name = name
         super().__init__(f"map {name!r} is not idempotent")
-
-
-class CarrierTooLarge(RegcatError):
-    def __init__(self, size, bound):
-        self.size = size
-        self.bound = bound
-        super().__init__(f"carrier size {size} exceeds solver maximum {bound}")
 
 
 # --- workspace / DSL errors ------------------------------------------------

@@ -133,7 +133,7 @@ def enumerate_inverses(
         raise ValueError(f"unknown inverse kind {kind!r}")
     space = map_space_size(f.cod, f.dom)
     if limit is None and space > max_space:
-        raise SearchSpaceTooLarge(space, max_space)
+        raise SearchSpaceTooLarge(space, max_space, "candidate maps", "pass a limit to truncate")
     stop = None if limit is None else limit + 1
     if kind == "outer":
         tables, nodes = _outer_tables(f, stop)

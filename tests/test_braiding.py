@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import S, fm, oracle_check_ybe
+from helpers import S, fm, maps_between, naive_is_inner, oracle_check_ybe, pointwise_compose
 from regcat.braiding import (
     Braiding,
     ObstructorAssignment,
@@ -26,9 +26,10 @@ from regcat.braiding import (
     ybe_side_maps,
 )
 from regcat.core import FinMap, ProductSet, identity
-from regcat.errors import CarrierTooLarge, NotIdempotent, SearchSpaceTooLarge, TypeMismatch
+from regcat.errors import NotIdempotent, SearchSpaceTooLarge, TypeMismatch
 
 A2 = S("A", 2)
+B2 = S("B", 2)
 SWAP = braiding_from_table("swap", A2, A2, (0, 2, 1, 3))
 E0 = fm("e0", A2, A2, (0, 0))
 ID2 = identity(A2)
@@ -95,6 +96,39 @@ class TestRegularity:
     def test_prebraid_regularity(self):
         bl = prebraid(SWAP, "L", ID2, (A2, A2, A2))
         assert check_prebraid_regularity(bl, bl)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(0, 3), min_size=4, max_size=4),
+           st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    def test_regular_braiding_matches_pointwise(self, tab, star_tab):
+        # b∘b*∘b = b read pointwise, for b: A⊗B -> B⊗A and b*: B⊗A -> A⊗B
+        b = braiding_from_table("b", A2, B2, tab)
+        for star in (braiding_from_table("s", B2, A2, star_tab), canonical_braiding_star(b)):
+            assert check_regular_braiding(b, star) == naive_is_inner(b.map, star.map)
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(0, 3), min_size=4, max_size=4),
+           st.lists(st.integers(0, 3), min_size=4, max_size=4),
+           st.sampled_from("LR"), st.sampled_from([(0, 0), (0, 1), (1, 1)]))
+    def test_prebraid_regularity_matches_pointwise(self, tab, star_tab, side, e):
+        # prebraids of size-2 braidings, with a random star and with the canonical one
+        b = braiding_from_table("b", A2, A2, tab)
+        e = fm("e", A2, A2, e)
+        p = prebraid(b, side, e, (A2, A2, A2))
+        for star in (braiding_from_table("s", A2, A2, star_tab), canonical_braiding_star(b)):
+            p_star = prebraid(star, side, e, (A2, A2, A2))
+            assert check_prebraid_regularity(p, p_star) == naive_is_inner(p, p_star)
+
+    def test_swapped_factors_are_a_type_mismatch(self):
+        b = braiding_from_table("b", A2, B2, (0, 2, 1, 3))
+        with pytest.raises(TypeMismatch):
+            check_regular_braiding(b, b)
+        p = prebraid(b, "L", ID2, (A2, A2, B2))  # A⊗A⊗B -> A⊗B⊗A
+        with pytest.raises(TypeMismatch) as exc:
+            check_prebraid_regularity(p, p)
+        assert (exc.value.expected, exc.value.got) == (
+            f"{p.cod.id}->{p.dom.id}", f"{p.dom.id}->{p.cod.id}"
+        )
 
 
 class TestPrebraids:
@@ -197,6 +231,14 @@ class TestIdempotents:
         tabs = [e.table for e in enumerate_idempotents(A2)]
         assert tabs == [(0, 0), (0, 1), (1, 1)]
 
+    @pytest.mark.parametrize("s, count", [(0, 1), (1, 1), (2, 3), (3, 10), (4, 41), (5, 196)])
+    def test_match_pointwise_sweep(self, s, count):
+        # tables and order against every map e with e∘e = e, read pointwise
+        X = S("U", s)
+        sweep = [m.table for m in maps_between(X, X) if pointwise_compose(m, m) == m.table]
+        assert [e.table for e in enumerate_idempotents(X)] == sweep
+        assert len(sweep) == count
+
 
 class TestSolveYbe:
     def test_classical_s2_count(self):
@@ -264,10 +306,6 @@ class TestSolveYbe:
         res = solve_ybe(YbeProblem(S("U", 1), mode="classical"))
         assert res.count == 1
 
-    def test_carrier_too_large(self):
-        with pytest.raises(CarrierTooLarge):
-            solve_ybe(YbeProblem(S("U", 4), max_size=3))
-
     def test_counters_agree_across_jobs(self):
         seq = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True))
         par = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True, jobs=2))
@@ -293,7 +331,7 @@ class TestSolveYbe:
 
     def test_node_budget_stops_large_carrier(self):
         with pytest.raises(SearchSpaceTooLarge):
-            solve_ybe(YbeProblem(S("U", 4), max_size=4, count_only=True, max_nodes=1000))
+            solve_ybe(YbeProblem(S("U", 4), count_only=True, max_nodes=1000))
 
     def test_bad_jobs(self):
         with pytest.raises(ValueError):

@@ -176,6 +176,8 @@ class TestDiagramCommands:
         # each of the functor's two walks, source and target, composes 9 prefixes
         (("functor", TRIANGLE, "--from", "D", "--to", "D", "--objects", "X=X,Y=Y,Z=Z",
           "--maps", "f=f,g=g,h=h", "--n", "3"), 9),
+        # three bases, each with paths of one and two edges and one closed path of three
+        (("cycles3", TRIANGLE, "--name", "D"), 9),
     ])
     def test_max_space_bounds_the_walk(self, capsys, argv, paths):
         # a walk may compose as many path prefixes as the bound, and no more
@@ -265,6 +267,16 @@ class TestBraidCommands:
         assert code == 3 and out == ""
         assert time.perf_counter() - start < 10
 
+    def test_ybe_all_idempotents_of_a_large_carrier_stops_at_the_bound(self, capsys):
+        # the 6,322 idempotents of 7 elements are built, not found among 7^7 maps
+        start = time.perf_counter()
+        code, out = run(
+            capsys, "ybe", "--size", "7", "--mode", "regular", "--e", "all",
+            "--max-space", "10",
+        )
+        assert code == 3 and out == ""
+        assert time.perf_counter() - start < 3
+
     def test_ybe_reports_work_counters(self, capsys):
         argv = ("ybe", "--size", "2", "--mode", "regular", "--e", "all")
         _, one = run_json(capsys, *argv, "--jobs", "1")
@@ -329,6 +341,20 @@ class TestExitCodes:
         assert "error:" in err and "Traceback" not in err
         if NOT_UTF8 in argv:
             assert f"error: {bad}: " in err
+
+    @pytest.mark.parametrize("argv, counted", [
+        (("diagram", TRIANGLE, "--name", "D", "--mode", "semicommutative", "--max-len", "3",
+          "--max-space", "8"), "9 path prefixes exceeds the bound 8\n"),
+        (("ybe", "--size", "2", "--mode", "classical", "--count-only", "--max-space", "3"),
+         "4 candidate tables exceeds the bound 3\n"),
+        (("inverses", MAPS, "--map", "f", "--kind", "inner", "--max-space", "2"),
+         "9 candidate maps exceeds the bound 2; pass a limit to truncate\n"),
+        (("chain", MAPS, "--map", "f", "--n", "2", "--search", "--max-space", "2"),
+         "72 candidate towers exceeds the bound 2; pass a limit to truncate\n"),
+    ])
+    def test_bound_names_what_it_counts(self, argv, counted, capsys):
+        assert main(list(argv)) == 3
+        assert capsys.readouterr() == ("", f"error: search space of {counted}")
 
 
 # argv for main(): every subcommand with its flags, the three fixtures, names

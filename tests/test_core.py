@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import S, fm, maps_between
+from helpers import S, fm, maps_between, pointwise_compose
 from regcat.core import (
     FinMap,
     FiniteSet,
@@ -92,16 +92,25 @@ class TestCompose:
 
 class TestComposePath:
     def test_is_the_compose_fold(self):
-        # same name, endpoints and table as composing one step at a time
+        # the name written out and the table folded pointwise, one step at a time
         A, B, C = S("A", 2), S("B", 3), S("C", 2)
+        h = fm("h", C, A, (1, 0))
         for f in maps_between(A, B, "f"):
             for g in maps_between(B, C, "g")[::7]:
-                for path in ([f], [f, g], [f, g, fm("h", C, A, (1, 0)), f]):
+                for path, name in (
+                    ([f], f.name),
+                    ([f, g], f"({g.name}.{f.name})"),
+                    ([f, g, h, f], f"({f.name}.(h.({g.name}.{f.name})))"),
+                ):
                     want = path[0]
                     for m in path[1:]:
-                        want = compose(m, want)
+                        want = fm("w", want.dom, m.cod, pointwise_compose(m, want))
                     got = compose_path(path)
-                    assert (got, got.name, got.dom, got.cod) == (want, want.name, want.dom, want.cod)
+                    assert (got.name, got.dom, got.cod, got.table) == (
+                        name, A, path[-1].cod, want.table
+                    )
+                    if len(path) == 2:
+                        assert compose(g, f).name == name and compose(g, f) == got
 
     def test_type_mismatch(self):
         f = fm("f", X3, Y2, (0, 0, 1))
