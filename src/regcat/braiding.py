@@ -10,18 +10,28 @@ and the regularized Yang-Baxter equation B^R∘B^L∘B^R = B^L∘B^R∘B^L on tr
 products.  The solver enumerates braiding tables on a single carrier with
 constraint propagation: a partial table is rejected as soon as any component
 of any triple is determined on both sides and unequal.
+
+A permutation σ of X acts on tables by (σ·B)(σx, σy) = (σa, σb) where
+B(x, y) = (a, b), and B solves the equation for e exactly when σ·B solves it
+for σ∘e∘σ⁻¹.  So the search for one e visits only the lex-least table of each
+orbit of Stab(e) = {σ : σ∘e = e∘σ} and counts or lists the whole orbit, and
+under ``--e all`` it solves one e per conjugacy class and carries the
+solutions over to the other members.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import permutations, product
+from math import factorial, prod
 from multiprocessing import Pool
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .core import FinMap, FiniteSet, ProductSet, compose, identity
 from .errors import NotIdempotent, SearchSpaceTooLarge, TypeMismatch
-from .inverses import DEFAULT_MAX_SPACE, _outer_tables, is_inverse, section_inner_inverse
+from .inverses import DEFAULT_MAX_SPACE, _OuterTables, is_inverse, section_inner_inverse
 
 
 @dataclass(frozen=True)
@@ -272,14 +282,87 @@ def check_ybe(b: Braiding, e: FinMap, mode: str) -> YbeResult:
     return YbeResult(False, (X.label(x), X.label(y), X.label(z)))
 
 
-def enumerate_idempotents(X: FiniteSet) -> list[FinMap]:
-    """All idempotent endomaps of X in lexicographic table order.
+def _idempotents(X: FiniteSet) -> Iterator[FinMap]:
+    """The idempotent endomaps of X in lexicographic table order, built as taken.
 
     e∘e = e says that e is an outer inverse of the identity, so the outer
     inverse search builds them without sweeping all |X|^|X| maps.
     """
-    tables, _ = _outer_tables(identity(X), None)
-    return [FinMap(f"e_{X.id}{k}", X, X, t) for k, t in enumerate(tables)]
+    for k, t in enumerate(_OuterTables(identity(X))):
+        yield FinMap(f"e_{X.id}{k}", X, X, t)
+
+
+def enumerate_idempotents(X: FiniteSet) -> list[FinMap]:
+    """All idempotent endomaps of X in lexicographic table order."""
+    return list(_idempotents(X))
+
+
+def _fibres(e) -> dict[int, list[int]]:
+    """Each image point y of the idempotent e with the other points of e⁻¹(y)."""
+    fibres = {y: [] for y in sorted(set(e))}
+    for x, y in enumerate(e):
+        if x != y:
+            fibres[y].append(x)
+    return fibres
+
+
+def _stabilizer(e, bound) -> list[tuple[int, ...]]:
+    """The permutations σ with σ∘e = e∘σ, or only the identity if there are
+    more than ``bound`` of them.
+
+    Such a σ maps each image point y to an image point whose fibre has the
+    size of e⁻¹(y), and the rest of e⁻¹(y) onto the rest of that fibre; every
+    such choice commutes with e.  So there are ∏ₖ mₖ! · ∏_y (|e⁻¹(y)|−1)! of
+    them, mₖ being the number of fibres of size k, and they are built from
+    the fibres rather than found among all |X|! permutations.
+    """
+    fibres = _fibres(e)
+    by_size: dict[int, list[int]] = {}
+    for y, rest in fibres.items():
+        by_size.setdefault(len(rest), []).append(y)
+    order = prod(factorial(len(ys)) for ys in by_size.values())
+    order *= prod(factorial(len(rest)) for rest in fibres.values())
+    if order > bound:
+        return [tuple(range(len(e)))]
+    group = []
+    for moves in product(*(permutations(ys) for ys in by_size.values())):
+        to = {y: t for ys, ts in zip(by_size.values(), moves) for y, t in zip(ys, ts)}
+        for rests in product(*(permutations(fibres[to[y]]) for y in fibres)):
+            sigma = list(range(len(e)))
+            for (y, rest), images in zip(fibres.items(), rests):
+                sigma[y] = to[y]
+                for x, t in zip(rest, images):
+                    sigma[x] = t
+            group.append(tuple(sigma))
+    return group
+
+
+def _conjugator(rep, e) -> tuple[int, ...]:
+    """A permutation σ with e = σ∘rep∘σ⁻¹, for idempotents whose fibres have
+    the same sizes: it maps the fibres of rep, by size, onto those of e."""
+
+    def layout(t):
+        fibres = _fibres(t)
+        return [x for y in sorted(fibres, key=lambda y: len(fibres[y])) for x in (y, *fibres[y])]
+
+    sigma = [0] * len(e)
+    for x, y in zip(layout(rep), layout(e)):
+        sigma[x] = y
+    return tuple(sigma)
+
+
+def _on_pairs(sigma) -> list[int]:
+    """σ⊗σ on the row-major indices s*x + y of X⊗X."""
+    s = len(sigma)
+    return [s * a + b for a in sigma for b in sigma]
+
+
+def _act(pairs, table) -> tuple[int, ...]:
+    """σ·B for ``pairs`` = σ⊗σ: (σ·B)[σ⊗σ(q)] = σ⊗σ(B[q])."""
+    out = [0] * len(table)
+    for q, v in enumerate(table):
+        out[pairs[q]] = pairs[v]
+    return tuple(out)
 
 
 def _lookups(s: int, e) -> tuple:
@@ -384,6 +467,30 @@ def _reading(table, pos: int, triples, lookups) -> list:
     return out
 
 
+def _undecided(table, pos: int, live):
+    """Compare σ·T with T on the entries both determine, for each σ in ``live``.
+
+    ``live`` holds (σ⊗σ, its inverse, q) for the σ whose comparison is still
+    open, q being the first entry not yet seen equal.  Entries 0..pos of T
+    are assigned, and (σ·T)[q] = σ⊗σ(T[σ⊗σ⁻¹(q)]) is known when that index is
+    too.  Returns None if some σ·T is lex-smaller than T; otherwise the σ still
+    open, dropping those with σ·T already larger, since further entries decide
+    neither of these again.
+    """
+    kept = []
+    for pairs, inverse, q in live:
+        while q <= pos and inverse[q] <= pos:
+            w = pairs[table[inverse[q]]]
+            if w != table[q]:
+                if w < table[q]:
+                    return None
+                break
+            q += 1
+        else:
+            kept.append((pairs, inverse, q))
+    return kept
+
+
 class _OverBudget(Exception):
     """A branch tested more candidate tables than its budget."""
 
@@ -391,32 +498,43 @@ class _OverBudget(Exception):
 def _solve_branch(args):
     """Solutions with a fixed first table entry (worker task).
 
-    Returns ``(found, nodes, triples)``: the solution tables in lex order, or
-    only their number under ``count_only``; the candidate tables tested; and
-    the triple evaluations spent on them.  A branch stops once ``nodes``
-    exceeds ``budget``.
+    Returns ``(found, nodes, triples)``: the solution tables, or only their
+    number under ``count_only``; the candidate tables tested; and the triple
+    evaluations spent on them.  A branch stops once ``nodes`` exceeds
+    ``budget``.
 
     Entries are assigned in index order.  Each candidate value re-checks only
     the triples ``_reading`` picks for its position; the rest kept the verdict
     they had at the parent, which passed.  Position 0 starts from the empty
     table, so the root gets the same exact check.
+
+    ``group`` is a group of permutations commuting with e.  A table that
+    passes is cut when some σ·T is lex-smaller (``_undecided``), so each leaf
+    is the lex-least member of its orbit, and the leaf stands for the whole
+    orbit: |group| / |Stab(T)| solutions, listed in no particular order.
+    With the trivial group this is the full search.
     """
-    s, e, first, bijective, count_only, budget = args
+    s, e, group, first, bijective, count_only, budget = args
     n2 = s * s
     lookups = _lookups(s, e)
+    triples = _triple_constants(s, e)
     # Entries below pos are the assigned ones, so a triple whose first read on
     # either side lies beyond pos is stopped there and cannot be watched yet.
-    triples = _triple_constants(s, e)
-    in_reach = [[t for t in triples if t[0] <= pos and t[2] <= pos] for pos in range(n2)]
+    # Each position's list is made when the search first reaches it.
+    in_reach: list[Optional[list]] = [None] * n2
+    acting = [_on_pairs(sigma) for sigma in group if sigma != tuple(range(s))]
     table = [-1] * n2
     used = [False] * n2
     found = 0 if count_only else []
     nodes = evals = 0
     values = range(n2)
 
-    def step(pos: int, candidates) -> None:
+    def step(pos: int, candidates, live) -> None:
         nonlocal found, nodes, evals
-        watch = _reading(table, pos, in_reach[pos], lookups)
+        reach = in_reach[pos]
+        if reach is None:
+            reach = in_reach[pos] = [t for t in triples if t[0] <= pos and t[2] <= pos]
+        watch = _reading(table, pos, reach, lookups)
         width = len(watch)
         for v in candidates:
             if bijective and used[v]:
@@ -429,19 +547,24 @@ def _solve_branch(args):
             evals += bad or width
             if bad:
                 continue
+            kept = live
+            if live:
+                kept = _undecided(table, pos, live)
+                if kept is None:
+                    continue
             if pos + 1 == n2:
                 if count_only:
-                    found += 1
+                    found += len(group) // (1 + len(kept))
                 else:
-                    found.append(tuple(table))
+                    found.extend({tuple(table), *(_act(pairs, table) for pairs in acting)})
             else:
                 used[v] = True
-                step(pos + 1, values)
+                step(pos + 1, values, kept)
                 used[v] = False
         table[pos] = -1
 
     try:
-        step(0, (first,))
+        step(0, (first,), [(pairs, sorted(values, key=pairs.__getitem__), 0) for pairs in acting])
     except _OverBudget:
         pass
     return found, nodes, evals
@@ -470,10 +593,13 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
     """Exhaustive pruned search for YBE solutions on a single carrier.
 
     Candidate braidings are enumerated table-entry by table-entry in
-    lexicographic order; output is ordered lexicographically in (e, B) and is
-    identical regardless of the worker count, and so are the work counters.
-    Raises SearchSpaceTooLarge once more than ``max_nodes`` candidate tables
-    have been tested.
+    lexicographic order, one lex-least table per orbit of the obstructor's
+    stabilizer when it has at most s² elements; output is ordered
+    lexicographically in (e, B) and is identical regardless of the worker
+    count, and so are the work counters.  Under ``e_spec="all"`` only the
+    lex-least idempotent of each conjugacy class is searched.  Raises
+    SearchSpaceTooLarge once more than ``max_nodes`` candidate tables have
+    been tested.
     """
     X = problem.carrier
     s = X.cardinality
@@ -485,7 +611,7 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
     if problem.mode == "classical" or problem.e_spec == "identity":
         es = [identity(X)]
     elif problem.e_spec == "all":
-        es = enumerate_idempotents(X)
+        es = _idempotents(X)
     elif isinstance(problem.e_spec, FinMap):
         _require_idempotent_endo(problem.e_spec, X)
         es = [problem.e_spec]
@@ -502,27 +628,38 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
 
     # Every branch gets the whole budget and the running total is checked in
     # task order, so whether the bound is hit does not depend on the jobs.
-    # Tasks are made as they are taken, not held as one list of |es|·s² tuples.
-    n2 = s * s
-    tasks = (
-        (s, e.table, first, problem.require_bijective, problem.count_only, problem.max_nodes)
-        for e in es
-        for first in range(n2)
-    )
+    # Idempotents are conjugate exactly when their fibre sizes agree, and the
+    # first of a class in lex order is the one solved.
     solutions: list[tuple[Braiding, FinMap]] = []
     count = nodes = triples = 0
+    solved: dict[tuple[int, ...], tuple] = {}  # fibre sizes -> (e, its solutions)
     with Pool(problem.jobs) if problem.jobs > 1 else nullcontext() as pool:
-        branches = pool.imap(_solve_branch, tasks) if pool else map(_solve_branch, tasks)
-        for k, (found, n, t) in enumerate(branches):
-            nodes += n
-            triples += t
-            if nodes > problem.max_nodes:
-                raise SearchSpaceTooLarge(nodes, problem.max_nodes, "candidate tables")
+        run = pool.imap if pool else map
+        for e in es:
+            sizes = tuple(sorted(Counter(e.table).values()))
+            if sizes not in solved:
+                group = _stabilizer(e.table, s * s)
+                tasks = (
+                    (s, e.table, group, first, problem.require_bijective,
+                     problem.count_only, problem.max_nodes)
+                    for first in range(s * s)
+                )
+                found = 0 if problem.count_only else []
+                for f, n, t in run(_solve_branch, tasks):
+                    nodes += n
+                    triples += t
+                    if nodes > problem.max_nodes:
+                        raise SearchSpaceTooLarge(nodes, problem.max_nodes, "candidate tables")
+                    found += f
+                solved[sizes] = (e.table, found if problem.count_only else sorted(found))
+            rep, found = solved[sizes]
             if problem.count_only:
                 count += found
                 continue
+            if rep != e.table:
+                pairs = _on_pairs(_conjugator(rep, e.table))
+                found = sorted(_act(pairs, tab) for tab in found)
             count += len(found)
-            e = es[k // n2]
             for tab in found:
                 solutions.append((braiding_from_table(f"B{len(solutions)}", X, X, tab), e))
     return YbeSolutionSet(solutions, count, nodes, triples)

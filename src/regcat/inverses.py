@@ -10,7 +10,8 @@ inverses exist and whether the generalized one is unique.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from .core import FinMap, all_maps, compose, fibre_columns, map_space_size
 from .errors import (
@@ -63,51 +64,55 @@ class InverseEnumeration:
     nodes: int       # candidate or partial tables tested
 
 
-def _outer_tables(f: FinMap, stop: Optional[int]) -> tuple[list[tuple[int, ...]], int]:
-    """Tables of the outer inverses of f in lex order, at most ``stop`` of them.
+class _OuterTables:
+    """Tables of the outer inverses of f in lex order, built as they are taken.
 
     A depth-first search over the positions y of cod(f) in order.  g∘f∘g = g
     says g(f(x)) = x for every value x = g(y), so setting g(y) = x forces
     position f(x): x is rejected when an earlier position forced g(y)
     otherwise, when f(x) < y and g(f(x)) ≠ x, or when f(x) > y is already
-    forced to another value.  Returns the tables and the number of
-    (position, value) pairs tested.
+    forced to another value.  ``nodes`` is the number of (position, value)
+    pairs tested so far.
     """
-    nx, ny, ft = f.dom.cardinality, f.cod.cardinality, f.table
-    g = [0] * ny
-    forced: list[Optional[int]] = [None] * ny
-    claims: list[Optional[int]] = [None] * ny  # claims[y]: the position g(y) forced
-    tables: list[tuple[int, ...]] = []
-    nodes = 0
-    y, x = 0, 0  # the position being filled and the next value to try there
-    while y >= 0:
-        if y < ny and x < nx:
-            nodes += 1
-            t = ft[x]
-            if forced[y] not in (None, x):
-                fits = False
-            elif t < y:
-                fits = g[t] == x
-            else:
-                fits = t == y or forced[t] in (None, x)
-            if not fits:
-                x += 1
+
+    def __init__(self, f: FinMap):
+        self.f = f
+        self.nodes = 0
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        nx, ny, ft = self.f.dom.cardinality, self.f.cod.cardinality, self.f.table
+        g = [0] * ny
+        forced: list[Optional[int]] = [None] * ny
+        claims: list[Optional[int]] = [None] * ny  # claims[y]: the position g(y) forced
+        nodes = 0
+        y, x = 0, 0  # the position being filled and the next value to try there
+        while y >= 0:
+            if y < ny and x < nx:
+                nodes += 1
+                t = ft[x]
+                if forced[y] not in (None, x):
+                    fits = False
+                elif t < y:
+                    fits = g[t] == x
+                else:
+                    fits = t == y or forced[t] in (None, x)
+                if not fits:
+                    x += 1
+                    continue
+                g[y] = x
+                if t > y and forced[t] is None:
+                    forced[t], claims[y] = x, t
+                y, x = y + 1, 0
                 continue
-            g[y] = x
-            if t > y and forced[t] is None:
-                forced[t], claims[y] = x, t
-            y, x = y + 1, 0
-            continue
-        if y == ny:
-            tables.append(tuple(g))
-            if len(tables) == stop:
-                break
-        y -= 1  # backtrack: undo the choice at y and try its next value
-        if y >= 0:
-            if claims[y] is not None:
-                forced[claims[y]], claims[y] = None, None
-            x = g[y] + 1
-    return tables, nodes
+            if y == ny:
+                self.nodes = nodes
+                yield tuple(g)
+            y -= 1  # backtrack: undo the choice at y and try its next value
+            if y >= 0:
+                if claims[y] is not None:
+                    forced[claims[y]], claims[y] = None, None
+                x = g[y] + 1
+        self.nodes = nodes
 
 
 def enumerate_inverses(
@@ -121,7 +126,7 @@ def enumerate_inverses(
     The inverses are built, not filtered out of all |dom|^|cod| maps g.
     Inner ones are the product of the fibres f⁻¹(y) over im f, with any
     value elsewhere; generalized ones are the inner ones with g∘f∘g = g;
-    outer ones come from a depth-first search (``_outer_tables``).
+    outer ones come from a depth-first search (``_OuterTables``).
 
     Without a limit the count is exact, and SearchSpaceTooLarge is raised
     when |dom|^|cod| exceeds max_space: the bound guards the size of the map
@@ -136,8 +141,10 @@ def enumerate_inverses(
         raise SearchSpaceTooLarge(space, max_space, "candidate maps", "pass a limit to truncate")
     stop = None if limit is None else limit + 1
     if kind == "outer":
-        tables, nodes = _outer_tables(f, stop)
+        search = _OuterTables(f)
+        tables = islice(search, stop)
         found = [FinMap(f"{f.name}_inv{k}", f.cod, f.dom, t) for k, t in enumerate(tables)]
+        nodes = search.nodes
     else:
         found, nodes = [], 0
         columns = fibre_columns(f, f.table)

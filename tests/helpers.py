@@ -6,7 +6,7 @@ they stay independent of the library code paths they check.
 
 from itertools import product
 
-from regcat.braiding import YbeResult, _ybe_sides
+from regcat.braiding import YbeResult, _solve_branch, _ybe_sides
 from regcat.core import FinMap, FiniteSet, compose, compose_path
 from regcat.diagrams import (
     CommutativityReport,
@@ -277,6 +277,18 @@ def oracle_check_ybe(b, e):
                 if lhs != rhs:
                     return YbeResult(False, (X.label(x), X.label(y), X.label(z)))
     return YbeResult(True, None)
+
+
+def full_ybe_search(s, e, bijective=False, count_only=False):
+    """The YBE search without symmetry reduction: the solver's kernel with the
+    trivial group, summed over every first entry.  Returns (found, nodes,
+    triples), found being the count or the solution tables in lex order."""
+    found, nodes, triples = (0 if count_only else []), 0, 0
+    for first in range(s * s):
+        args = (s, tuple(e), (tuple(range(s)),), first, bijective, count_only, float("inf"))
+        f, n, t = _solve_branch(args)
+        found, nodes, triples = found + f, nodes + n, triples + t
+    return found, nodes, triples
 
 
 # --- chain verdict oracle ----------------------------------------------------------

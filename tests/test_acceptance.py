@@ -11,7 +11,7 @@ from contextlib import redirect_stdout
 from itertools import product
 from pathlib import Path
 
-from helpers import S, fm, generalized_pairs, maps_between, naive_inverses
+from helpers import S, fm, full_ybe_search, generalized_pairs, maps_between, naive_inverses
 from regcat.braiding import (
     YbeProblem,
     braiding_from_table,
@@ -256,8 +256,11 @@ def test_criterion_10_solver_scale():
         YbeProblem(X, mode="regular", e_spec="identity", count_only=True, jobs=8)
     )
     ok = one.count == eight.count == 5707
+    # the symmetry-reduced search: one table per orbit of S_3
+    ok = ok and one.nodes == eight.nodes == 93951 and one.triples == eight.triples
     # the node count of the full-check search: the incremental check prunes exactly as it did
-    ok = ok and one.nodes == eight.nodes == 716697 and one.triples == eight.triples <= 2_000_000
+    count, nodes, triples = full_ybe_search(3, (0, 1, 2), count_only=True)
+    ok = ok and count == 5707 and nodes == 716697 and triples <= 2_000_000
     report(10, ok, f"size-3 count-only solve: {one.count} with jobs 1 and 8, {one.nodes} nodes")
 
 

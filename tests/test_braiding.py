@@ -1,9 +1,16 @@
-from itertools import product
+from collections import Counter
+from dataclasses import replace
+from functools import cache
+from itertools import permutations, product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import S, fm, maps_between, naive_is_inner, oracle_check_ybe, pointwise_compose
+from helpers import (
+    S, fm, full_ybe_search, maps_between, naive_is_inner, oracle_check_ybe, pointwise_compose,
+)
+from regcat import braiding
 from regcat.braiding import (
     Braiding,
     ObstructorAssignment,
@@ -12,6 +19,7 @@ from regcat.braiding import (
     _first_violation,
     _lookups,
     _reading,
+    _stabilizer,
     _triple_constants,
     braiding_from_table,
     canonical_braiding_star,
@@ -409,3 +417,93 @@ class TestIncrementalCheck:
                         table[n] = v
                         incremental = _first_violation(table, watch, lookups) == 0
                         assert incremental == _consistent(2, table, e, triples)
+
+
+# --- symmetry reduction -------------------------------------------------------------
+
+PERMUTATIONS = {s: list(permutations(range(s))) for s in (1, 2, 3)}
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_conjugation_carries_solutions_to_solutions(data):
+    # check_ybe(σ·B, σ∘e∘σ⁻¹) agrees with check_ybe(B, e): the lemma the reduction rests on
+    s = data.draw(st.integers(min_value=1, max_value=3))
+    e = data.draw(st.sampled_from(IDEMPOTENT_TABLES[s]))
+    sigma = data.draw(st.sampled_from(PERMUTATIONS[s]))
+    tab = data.draw(st.lists(st.integers(0, s * s - 1), min_size=s * s, max_size=s * s))
+    moved = [0] * (s * s)
+    for x, y in product(range(s), repeat=2):
+        a, b = divmod(tab[s * x + y], s)
+        moved[s * sigma[x] + sigma[y]] = s * sigma[a] + sigma[b]
+    conjugate = [0] * s
+    for x in range(s):
+        conjugate[sigma[x]] = sigma[e[x]]
+    X = S("U", s)
+    before = check_ybe(braiding_from_table("b", X, X, tab), fm("e", X, X, e), "regular")
+    after = check_ybe(braiding_from_table("b", X, X, moved), fm("e", X, X, conjugate), "regular")
+    assert before.holds == after.holds
+
+
+@cache
+def _full_listing(s, e):
+    return full_ybe_search(s, e)[0]
+
+
+# every idempotent at s <= 2; at s = 3 the identity, and (0,1,0), whose stabilizer is trivial
+REDUCED_CASES = [(s, e) for s in (1, 2) for e in IDEMPOTENT_TABLES[s]] + [
+    (3, (0, 1, 2)), (3, (0, 1, 0)),
+]
+
+
+class TestSymmetryReduction:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("s, e", REDUCED_CASES)
+    def test_reduced_solve_equals_full_search(self, s, e, jobs):
+        X = S("U", s)
+        full = _full_listing(s, e)
+        problem = YbeProblem(X, e_spec=fm("e", X, X, e), jobs=jobs)
+        listed = solve_ybe(problem)
+        assert [b.map.table for b, _ in listed.solutions] == full
+        assert listed.count == solve_ybe(replace(problem, count_only=True)).count == len(full)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_all_idempotents_equal_full_search(self, s, jobs):
+        X = S("U", s)
+        full = [(e, tab) for e in IDEMPOTENT_TABLES[s] for tab in _full_listing(s, e)]
+        problem = YbeProblem(X, e_spec="all", jobs=jobs)
+        listed = solve_ybe(problem)
+        assert [(e.table, b.map.table) for b, e in listed.solutions] == full
+        assert listed.count == solve_ybe(replace(problem, count_only=True)).count == len(full)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_conjugate_is_carried_over_from_its_class_representative(self, monkeypatch, jobs):
+        # under --e all, (2,1,2) is not searched: its solutions are those of (0,0,2), moved
+        X = S("U", 3)
+        es = [fm("e", X, X, (0, 0, 2)), fm("e", X, X, (2, 1, 2))]
+        monkeypatch.setattr(braiding, "_idempotents", lambda _: iter(es))
+        listed = solve_ybe(YbeProblem(X, e_spec="all", jobs=jobs))
+        assert listed.nodes == 1103832  # those of (0,0,2) alone
+        for e in es:
+            got = [b.map.table for b, f in listed.solutions if f is e]
+            assert got == _full_listing(3, e.table)
+
+
+class TestStabilizer:
+    @pytest.mark.parametrize("s", range(6))
+    def test_matches_filter_of_all_permutations(self, s):
+        for e in (m.table for m in enumerate_idempotents(S("U", s))):
+            commuting = [
+                p for p in permutations(range(s)) if all(p[e[x]] == e[p[x]] for x in range(s))
+            ]
+            fibre_sizes = Counter(e).values()
+            order = prod(factorial(m) for m in Counter(fibre_sizes).values())
+            order *= prod(factorial(k - 1) for k in fibre_sizes)
+            built = _stabilizer(e, float("inf"))
+            assert sorted(built) == commuting and len(commuting) == order
+
+    def test_groups_larger_than_s_squared_are_not_used(self):
+        assert _stabilizer((0, 1, 2), 9) == sorted(permutations(range(3)))
+        assert _stabilizer((0, 1, 0), 9) == [(0, 1, 2)]  # |G| = 1
+        assert _stabilizer((0, 1, 2, 3), 16) == [(0, 1, 2, 3)]  # |G| = 24

@@ -277,6 +277,18 @@ class TestBraidCommands:
         assert code == 3 and out == ""
         assert time.perf_counter() - start < 3
 
+    @pytest.mark.parametrize("argv", [
+        # each position's triples are listed when the search first reaches it
+        ("--size", "30"),
+        # the 293,608 idempotents of 9 elements are built as the search takes them
+        ("--size", "9", "--e", "all"),
+    ])
+    def test_ybe_set_up_stays_within_the_bound(self, capsys, argv):
+        start = time.perf_counter()
+        code, out = run(capsys, "ybe", *argv, "--mode", "regular", "--max-space", "10")
+        assert code == 3 and out == ""
+        assert time.perf_counter() - start < 0.5
+
     def test_ybe_reports_work_counters(self, capsys):
         argv = ("ybe", "--size", "2", "--mode", "regular", "--e", "all")
         _, one = run_json(capsys, *argv, "--jobs", "1")
