@@ -21,10 +21,9 @@ solutions over to the other members.
 
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import chain, groupby, permutations, product
 from math import factorial, prod
 from multiprocessing import Pool
 from typing import Iterator, Optional, Union
@@ -274,7 +273,8 @@ def check_ybe(b: Braiding, e: FinMap, mode: str) -> YbeResult:
     elif mode not in ("classical", "regular"):
         raise ValueError(f"unknown mode {mode!r}")
     s = X.cardinality
-    bad = _first_violation(b.map.table, _triple_constants(s, e.table), _lookups(s, e.table))
+    triples = _triples_within(s, e.table, s * s - 1)
+    bad = _first_violation(b.map.table, triples, _lookups(s, e.table))
     if not bad:
         return YbeResult(True, None)
     x, yz = divmod(bad - 1, s * s)
@@ -297,56 +297,47 @@ def enumerate_idempotents(X: FiniteSet) -> list[FinMap]:
     return list(_idempotents(X))
 
 
-def _fibres(e) -> dict[int, list[int]]:
-    """Each image point y of the idempotent e with the other points of e⁻¹(y)."""
-    fibres = {y: [] for y in sorted(set(e))}
+def _blocks(e) -> list[tuple[int, ...]]:
+    """The fibres of the idempotent e, each as its image point followed by the
+    rest of the fibre, sorted by size and then by image point."""
+    fibres = {y: [y] for y in sorted(set(e))}
     for x, y in enumerate(e):
         if x != y:
             fibres[y].append(x)
-    return fibres
+    return sorted(map(tuple, fibres.values()), key=len)
 
 
 def _stabilizer(e, bound) -> list[tuple[int, ...]]:
     """The permutations σ with σ∘e = e∘σ, or only the identity if there are
     more than ``bound`` of them.
 
-    Such a σ maps each image point y to an image point whose fibre has the
-    size of e⁻¹(y), and the rest of e⁻¹(y) onto the rest of that fibre; every
-    such choice commutes with e.  So there are ∏ₖ mₖ! · ∏_y (|e⁻¹(y)|−1)! of
-    them, mₖ being the number of fibres of size k, and they are built from
-    the fibres rather than found among all |X|! permutations.
+    Such a σ maps each fibre of e onto a fibre of the same size, its image
+    point onto that fibre's image point; every such choice commutes with e.
+    So there are ∏ₖ mₖ! · ∏_y (|e⁻¹(y)|−1)! of them, mₖ being the number of
+    fibres of size k, and they are built from the fibres rather than found
+    among all |X|! permutations.
     """
-    fibres = _fibres(e)
-    by_size: dict[int, list[int]] = {}
-    for y, rest in fibres.items():
-        by_size.setdefault(len(rest), []).append(y)
-    order = prod(factorial(len(ys)) for ys in by_size.values())
-    order *= prod(factorial(len(rest)) for rest in fibres.values())
+    blocks = _blocks(e)
+    by_size = [list(same) for _, same in groupby(blocks, len)]
+    order = prod(factorial(len(same)) for same in by_size)
+    order *= prod(factorial(len(b) - 1) for b in blocks)
     if order > bound:
         return [tuple(range(len(e)))]
-    group = []
-    for moves in product(*(permutations(ys) for ys in by_size.values())):
-        to = {y: t for ys, ts in zip(by_size.values(), moves) for y, t in zip(ys, ts)}
-        for rests in product(*(permutations(fibres[to[y]]) for y in fibres)):
-            sigma = list(range(len(e)))
-            for (y, rest), images in zip(fibres.items(), rests):
-                sigma[y] = to[y]
-                for x, t in zip(rest, images):
-                    sigma[x] = t
-            group.append(tuple(sigma))
-    return group
+    # moves: where each block goes, among the blocks of its size; images: the
+    # target block with its image point first and the rest of it permuted
+    return [
+        _conjugator(blocks, images)
+        for moves in product(*map(permutations, by_size))
+        for images in product(*([(t[0], *r) for r in permutations(t[1:])] for t in chain(*moves)))
+    ]
 
 
-def _conjugator(rep, e) -> tuple[int, ...]:
-    """A permutation σ with e = σ∘rep∘σ⁻¹, for idempotents whose fibres have
-    the same sizes: it maps the fibres of rep, by size, onto those of e."""
-
-    def layout(t):
-        fibres = _fibres(t)
-        return [x for y in sorted(fibres, key=lambda y: len(fibres[y])) for x in (y, *fibres[y])]
-
-    sigma = [0] * len(e)
-    for x, y in zip(layout(rep), layout(e)):
+def _conjugator(blocks, images) -> tuple[int, ...]:
+    """The permutation σ that maps each point of ``blocks`` to the point in
+    the same place of ``images``.  For the blocks of idempotents rep and e
+    whose fibres have the same sizes, e = σ∘rep∘σ⁻¹."""
+    sigma = [0] * sum(map(len, blocks))
+    for x, y in zip(chain(*blocks), chain(*images)):
         sigma[x] = y
     return tuple(sigma)
 
@@ -378,13 +369,18 @@ def _lookups(s: int, e) -> tuple:
     return hi, lo, slo, sehi, [e[b] for b in lo], [e[a] for a in hi]
 
 
-def _triple_constants(s: int, e) -> list[tuple[int, int, int, int]]:
-    """Per-triple constants (s*x+y, e[z], s*y+z, s*e[x]) in lex order of (x, y, z)."""
+def _triples_within(s: int, e, pos: int) -> list[tuple[int, int, int, int]]:
+    """Per-triple constants (s*x+y, e[z], s*y+z, s*e[x]) of the triples
+    (x, y, z) with s*x+y <= pos and s*y+z <= pos, in lex order.
+
+    These are the triples whose first read on both sides is among entries
+    0..pos; at pos = s²-1 they are all s³ triples.
+    """
     return [
         (s * x + y, e[z], s * y + z, s * e[x])
         for x in range(s)
-        for y in range(s)
-        for z in range(s)
+        for y in range(min(s, pos - s * x + 1))
+        for z in range(min(s, pos - s * y + 1))
     ]
 
 
@@ -393,7 +389,7 @@ def _first_violation(table, watch, lookups) -> int:
     disagree on a component determined on both, or 0 if there is none.
 
     The same evaluation as ``_ybe_sides`` on constants from
-    ``_triple_constants``: each side reads at most three entries and every
+    ``_triples_within``: each side reads at most three entries and every
     comparable component needs the second entry of both sides.
     """
     hi, lo, slo, sehi, elo, ehi = lookups
@@ -491,10 +487,6 @@ def _undecided(table, pos: int, live):
     return kept
 
 
-class _OverBudget(Exception):
-    """A branch tested more candidate tables than its budget."""
-
-
 def _solve_branch(args):
     """Solutions with a fixed first table entry (worker task).
 
@@ -503,10 +495,12 @@ def _solve_branch(args):
     evaluations spent on them.  A branch stops once ``nodes`` exceeds
     ``budget``.
 
-    Entries are assigned in index order.  Each candidate value re-checks only
-    the triples ``_reading`` picks for its position; the rest kept the verdict
-    they had at the parent, which passed.  Position 0 starts from the empty
-    table, so the root gets the same exact check.
+    Entries are assigned in index order by a depth-first search that keeps its
+    own stack, one frame per assigned entry: the values left to try there,
+    the triples ``_reading`` picks for that position, and the σ still open.
+    Each candidate value re-checks only those triples; the rest kept the
+    verdict they had at the parent, which passed.  Position 0 starts from the
+    empty table, so the root gets the same exact check.
 
     ``group`` is a group of permutations commuting with e.  A table that
     passes is cut when some σ·T is lex-smaller (``_undecided``), so each leaf
@@ -517,7 +511,6 @@ def _solve_branch(args):
     s, e, group, first, bijective, count_only, budget = args
     n2 = s * s
     lookups = _lookups(s, e)
-    triples = _triple_constants(s, e)
     # Entries below pos are the assigned ones, so a triple whose first read on
     # either side lies beyond pos is stopped there and cannot be watched yet.
     # Each position's list is made when the search first reaches it.
@@ -527,24 +520,26 @@ def _solve_branch(args):
     used = [False] * n2
     found = 0 if count_only else []
     nodes = evals = 0
-    values = range(n2)
 
-    def step(pos: int, candidates, live) -> None:
-        nonlocal found, nodes, evals
-        reach = in_reach[pos]
-        if reach is None:
-            reach = in_reach[pos] = [t for t in triples if t[0] <= pos and t[2] <= pos]
-        watch = _reading(table, pos, reach, lookups)
-        width = len(watch)
-        for v in candidates:
+    def frame(pos: int, values, live) -> tuple:
+        if in_reach[pos] is None:
+            in_reach[pos] = _triples_within(s, e, pos)
+        return iter(values), _reading(table, pos, in_reach[pos], lookups), live
+
+    live = [(pairs, sorted(range(n2), key=pairs.__getitem__), 0) for pairs in acting]
+    stack = [frame(0, (first,), live)]
+    while stack:
+        pos = len(stack) - 1
+        values, watch, live = stack[-1]
+        for v in values:
             if bijective and used[v]:
                 continue
             nodes += 1
             if nodes > budget:
-                raise _OverBudget
+                return found, nodes, evals
             table[pos] = v
             bad = _first_violation(table, watch, lookups)
-            evals += bad or width
+            evals += bad or len(watch)
             if bad:
                 continue
             kept = live
@@ -552,21 +547,19 @@ def _solve_branch(args):
                 kept = _undecided(table, pos, live)
                 if kept is None:
                     continue
-            if pos + 1 == n2:
-                if count_only:
-                    found += len(group) // (1 + len(kept))
-                else:
-                    found.extend({tuple(table), *(_act(pairs, table) for pairs in acting)})
-            else:
+            if pos + 1 < n2:
                 used[v] = True
-                step(pos + 1, values, kept)
-                used[v] = False
-        table[pos] = -1
-
-    try:
-        step(0, (first,), [(pairs, sorted(values, key=pairs.__getitem__), 0) for pairs in acting])
-    except _OverBudget:
-        pass
+                stack.append(frame(pos + 1, range(n2), kept))
+                break
+            if count_only:
+                found += len(group) // (1 + len(kept))
+            else:
+                found.extend({tuple(table), *(_act(pairs, table) for pairs in acting)})
+        else:
+            stack.pop()
+            table[pos] = -1
+            if pos:
+                used[table[pos - 1]] = False
     return found, nodes, evals
 
 
@@ -597,9 +590,9 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
     stabilizer when it has at most s² elements; output is ordered
     lexicographically in (e, B) and is identical regardless of the worker
     count, and so are the work counters.  Under ``e_spec="all"`` only the
-    lex-least idempotent of each conjugacy class is searched.  Raises
-    SearchSpaceTooLarge once more than ``max_nodes`` candidate tables have
-    been tested.
+    lex-least idempotent of each conjugacy class is searched; classical mode
+    takes only the identity, as check_ybe does.  Raises SearchSpaceTooLarge
+    once more than ``max_nodes`` candidate tables have been tested.
     """
     X = problem.carrier
     s = X.cardinality
@@ -608,15 +601,17 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
     if problem.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {problem.jobs}")
 
-    if problem.mode == "classical" or problem.e_spec == "identity":
+    if problem.e_spec == "identity":
         es = [identity(X)]
-    elif problem.e_spec == "all":
-        es = _idempotents(X)
     elif isinstance(problem.e_spec, FinMap):
         _require_idempotent_endo(problem.e_spec, X)
+        if problem.mode == "classical" and not problem.e_spec.is_identity():
+            raise NotIdempotent(f"{problem.e_spec.name} (classical mode requires the identity)")
         es = [problem.e_spec]
+    elif problem.e_spec == "all" and problem.mode == "regular":
+        es = _idempotents(X)
     else:
-        raise ValueError(f"bad obstructor spec {problem.e_spec!r}")
+        raise ValueError(f"bad obstructor spec {problem.e_spec!r} for {problem.mode} mode")
 
     if s == 0:
         # one empty braiding, vacuously a solution
@@ -632,11 +627,12 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
     # first of a class in lex order is the one solved.
     solutions: list[tuple[Braiding, FinMap]] = []
     count = nodes = triples = 0
-    solved: dict[tuple[int, ...], tuple] = {}  # fibre sizes -> (e, its solutions)
+    solved: dict[tuple[int, ...], tuple] = {}  # fibre sizes -> (e's blocks, its solutions)
     with Pool(problem.jobs) if problem.jobs > 1 else nullcontext() as pool:
         run = pool.imap if pool else map
         for e in es:
-            sizes = tuple(sorted(Counter(e.table).values()))
+            blocks = _blocks(e.table)
+            sizes = tuple(map(len, blocks))
             if sizes not in solved:
                 group = _stabilizer(e.table, s * s)
                 tasks = (
@@ -651,13 +647,13 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
                     if nodes > problem.max_nodes:
                         raise SearchSpaceTooLarge(nodes, problem.max_nodes, "candidate tables")
                     found += f
-                solved[sizes] = (e.table, found if problem.count_only else sorted(found))
+                solved[sizes] = (blocks, found if problem.count_only else sorted(found))
             rep, found = solved[sizes]
             if problem.count_only:
                 count += found
                 continue
-            if rep != e.table:
-                pairs = _on_pairs(_conjugator(rep, e.table))
+            if rep != blocks:
+                pairs = _on_pairs(_conjugator(rep, blocks))
                 found = sorted(_act(pairs, tab) for tab in found)
             count += len(found)
             for tab in found:

@@ -1,3 +1,5 @@
+import inspect
+import sys
 from collections import Counter
 from dataclasses import replace
 from functools import cache
@@ -20,7 +22,7 @@ from regcat.braiding import (
     _lookups,
     _reading,
     _stabilizer,
-    _triple_constants,
+    _triples_within,
     braiding_from_table,
     canonical_braiding_star,
     check_prebraid_regularity,
@@ -345,6 +347,27 @@ class TestSolveYbe:
         with pytest.raises(ValueError):
             solve_ybe(YbeProblem(A2, jobs=0))
 
+    def test_classical_mode_takes_only_the_identity(self):
+        # as check_ybe does, rather than solving the identity in its place
+        with pytest.raises(NotIdempotent):
+            solve_ybe(YbeProblem(A2, mode="classical", e_spec=E0))
+        for spec in ("all", "bogus"):
+            with pytest.raises(ValueError):
+                solve_ybe(YbeProblem(A2, mode="classical", e_spec=spec))
+        for spec in ("identity", ID2):
+            problem = YbeProblem(A2, mode="classical", e_spec=spec, count_only=True)
+            assert solve_ybe(problem).count == 43
+
+    def test_deep_search_needs_no_recursion(self):
+        # the all-zero table solves the identity, so the first 49 nodes go straight down
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 40)
+        try:
+            with pytest.raises(SearchSpaceTooLarge):
+                solve_ybe(YbeProblem(S("U", 7), count_only=True, max_nodes=60))
+        finally:
+            sys.setrecursionlimit(limit)
+
 
 # --- incremental consistency check ----------------------------------------------
 
@@ -375,7 +398,7 @@ class TestIncrementalCheck:
     def test_kernel_matches_ybe_sides(self, case):
         s, e, table, pos, v = case
         table[pos] = v
-        bad = _first_violation(table, _triple_constants(s, e), _lookups(s, e))
+        bad = _first_violation(table, _triples_within(s, e, s * s - 1), _lookups(s, e))
         verdicts = [_consistent(s, table, e, [t]) for t in _index_triples(s)]
         assert bad == (verdicts.index(False) + 1 if False in verdicts else 0)
 
@@ -383,7 +406,7 @@ class TestIncrementalCheck:
     @given(partial_tables())
     def test_unwatched_triples_keep_their_verdict(self, case):
         s, e, table, pos, v = case
-        constants = _triple_constants(s, e)
+        constants = _triples_within(s, e, s * s - 1)
         watch = set(_reading(table, pos, constants, _lookups(s, e)))
         before = [_consistent(s, table, e, [t]) for t in _index_triples(s)]
         table[pos] = v
@@ -399,14 +422,28 @@ class TestIncrementalCheck:
         lookups = _lookups(s, e)
         if not _consistent(s, table, e, triples):
             return  # the incremental check assumes a consistent parent
-        watch = _reading(table, pos, _triple_constants(s, e), lookups)
+        watch = _reading(table, pos, _triples_within(s, e, s * s - 1), lookups)
         table[pos] = v
         assert (_first_violation(table, watch, lookups) == 0) == _consistent(s, table, e, triples)
+
+    @pytest.mark.parametrize("s", range(5))
+    def test_position_lists_filter_the_lex_list_of_all_triples(self, s):
+        # in order too: the order fixes counts.triples
+        for e in (m.table for m in enumerate_idempotents(S("U", s))):
+            full = [
+                (s * x + y, e[z], s * y + z, s * e[x])
+                for x in range(s)
+                for y in range(s)
+                for z in range(s)
+            ]
+            for pos in range(-1, s * s):
+                expected = [t for t in full if t[0] <= pos and t[2] <= pos]
+                assert _triples_within(s, e, pos) == expected
 
     def test_incremental_verdict_on_every_size2_prefix(self):
         # every consistent prefix the search can meet, every value at the next position
         for e in IDEMPOTENT_TABLES[2]:
-            lookups, constants, triples = _lookups(2, e), _triple_constants(2, e), _index_triples(2)
+            lookups, constants, triples = _lookups(2, e), _triples_within(2, e, 3), _index_triples(2)
             for n in range(4):
                 for prefix in product(range(4), repeat=n):
                     table = list(prefix) + [-1] * (4 - n)

@@ -280,6 +280,7 @@ class TestBraidCommands:
     @pytest.mark.parametrize("argv", [
         # each position's triples are listed when the search first reaches it
         ("--size", "30"),
+        ("--size", "200"),
         # the 293,608 idempotents of 9 elements are built as the search takes them
         ("--size", "9", "--e", "all"),
     ])

@@ -73,3 +73,32 @@ def unreferenced(src: Path, tests: Path) -> list[str]:
 
 def test_no_dead_code():
     assert unreferenced(SRC, TESTS) == []
+
+
+def self_calls(source: str) -> list[str]:
+    """Functions, nested ones and methods included, that call themselves by name."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                called = [n.func for n in ast.walk(child) if isinstance(n, ast.Call)]
+                if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(f, ast.Name) and f.id == child.name for f in called
+                ):
+                    found.append(name)
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_no_recursion():
+    # every search keeps its own stack, so no input depth meets the recursion limit
+    found = {p.name: self_calls(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    nested = "def f(n):\n    def g():\n        return g()\n    return f(n)\n"
+    assert self_calls(nested) == ["f", "f.g"]
+    assert {name: calls for name, calls in found.items() if calls} == {}
