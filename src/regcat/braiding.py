@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from itertools import chain, groupby, permutations, product
 from math import factorial, prod
 from multiprocessing import Pool
+from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 from .core import FinMap, FiniteSet, ProductSet, compose, identity
@@ -323,13 +324,15 @@ def _stabilizer(e, bound) -> list[tuple[int, ...]]:
     order *= prod(factorial(len(b) - 1) for b in blocks)
     if order > bound:
         return [tuple(range(len(e)))]
-    # moves: where each block goes, among the blocks of its size; images: the
-    # target block with its image point first and the rest of it permuted
-    return [
-        _conjugator(blocks, images)
-        for moves in product(*map(permutations, by_size))
-        for images in product(*([(t[0], *r) for r in permutations(t[1:])] for t in chain(*moves)))
-    ]
+    group = []
+    for moves in product(*map(permutations, by_size)):
+        # each block goes to the one in the same place of ``targets``, its
+        # image point first and the rest of it permuted
+        targets = list(chain(*moves))
+        for rests in product(*(permutations(t[1:]) for t in targets)):
+            images = [(t[0], *rest) for t, rest in zip(targets, rests)]
+            group.append(_conjugator(blocks, images))
+    return group
 
 
 def _conjugator(blocks, images) -> tuple[int, ...]:
@@ -369,19 +372,37 @@ def _lookups(s: int, e) -> tuple:
     return hi, lo, slo, sehi, [e[b] for b in lo], [e[a] for a in hi]
 
 
-def _triples_within(s: int, e, pos: int) -> list[tuple[int, int, int, int]]:
+def _triples_entering(s: int, e, pos: int) -> list[tuple[int, int, int, int]]:
     """Per-triple constants (s*x+y, e[z], s*y+z, s*e[x]) of the triples
-    (x, y, z) with s*x+y <= pos and s*y+z <= pos, in lex order.
-
-    These are the triples whose first read on both sides is among entries
-    0..pos; at pos = s²-1 they are all s³ triples.
-    """
+    (x, y, z) whose later first read, max(s*x+y, s*y+z), is entry ``pos``,
+    in lex order."""
+    a, b = divmod(pos, s)
     return [
-        (s * x + y, e[z], s * y + z, s * e[x])
-        for x in range(s)
-        for y in range(min(s, pos - s * x + 1))
-        for z in range(min(s, pos - s * y + 1))
+        (s * x + a, e[b], pos, s * e[x]) for x in range(s) if s * x + a < pos
+    ] + [
+        (pos, e[z], s * b + z, s * e[a]) for z in range(s) if s * b + z <= pos
     ]
+
+
+def _triples_within(s: int, e, pos: int) -> list[tuple[int, int, int, int]]:
+    """The constants of the triples with s*x+y <= pos and s*y+z <= pos, in
+    lex order: those whose first read on both sides is among entries 0..pos.
+    At pos = s²-1 they are all s³ triples.
+
+    The runs entering at 0..pos are sorted stably by s*x+y alone: of two
+    triples with the same s*x+y, the one in the earlier run has the smaller
+    s*y+z.  So no sort key is built per triple.
+    """
+    entering = (_triples_entering(s, e, p) for p in range(pos + 1))
+    return sorted(chain.from_iterable(entering), key=itemgetter(0))
+
+
+def _extend_triples(below, s: int, e, pos: int) -> list[tuple[int, int, int, int]]:
+    """``_triples_within(s, e, pos)`` from ``below``, that list at pos - 1,
+    sorted the same way; the tuples of ``below`` are shared, not rebuilt."""
+    out = below + _triples_entering(s, e, pos)
+    out.sort(key=itemgetter(0))
+    return out
 
 
 def _first_violation(table, watch, lookups) -> int:
@@ -513,7 +534,8 @@ def _solve_branch(args):
     lookups = _lookups(s, e)
     # Entries below pos are the assigned ones, so a triple whose first read on
     # either side lies beyond pos is stopped there and cannot be watched yet.
-    # Each position's list is made when the search first reaches it.
+    # Each position's list is made when the search first reaches it, from the
+    # list at pos - 1, which the search always reaches first.
     in_reach: list[Optional[list]] = [None] * n2
     acting = [_on_pairs(sigma) for sigma in group if sigma != tuple(range(s))]
     table = [-1] * n2
@@ -523,7 +545,7 @@ def _solve_branch(args):
 
     def frame(pos: int, values, live) -> tuple:
         if in_reach[pos] is None:
-            in_reach[pos] = _triples_within(s, e, pos)
+            in_reach[pos] = _extend_triples(in_reach[pos - 1] if pos else [], s, e, pos)
         return iter(values), _reading(table, pos, in_reach[pos], lookups), live
 
     live = [(pairs, sorted(range(n2), key=pairs.__getitem__), 0) for pairs in acting]

@@ -18,6 +18,7 @@ from regcat.braiding import (
     ObstructorAssignment,
     YbeProblem,
     _consistent,
+    _extend_triples,
     _first_violation,
     _lookups,
     _reading,
@@ -436,9 +437,16 @@ class TestIncrementalCheck:
                 for y in range(s)
                 for z in range(s)
             ]
+            below = []
             for pos in range(-1, s * s):
                 expected = [t for t in full if t[0] <= pos and t[2] <= pos]
                 assert _triples_within(s, e, pos) == expected
+                if pos >= 0:
+                    # the search's list, built from the one before and sharing its tuples
+                    extended = _extend_triples(below, s, e, pos)
+                    assert extended == expected
+                    assert {id(t) for t in below} <= {id(t) for t in extended}
+                    below = extended
 
     def test_incremental_verdict_on_every_size2_prefix(self):
         # every consistent prefix the search can meet, every value at the next position
