@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain, groupby, permutations, product
+from itertools import chain, groupby, islice, permutations, product
 from math import factorial, prod
 from multiprocessing import Pool
-from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 from .core import FinMap, FiniteSet, ProductSet, compose, identity
@@ -274,7 +273,7 @@ def check_ybe(b: Braiding, e: FinMap, mode: str) -> YbeResult:
     elif mode not in ("classical", "regular"):
         raise ValueError(f"unknown mode {mode!r}")
     s = X.cardinality
-    triples = _triples_within(s, e.table, s * s - 1)
+    triples = chain.from_iterable(_triples_from(s, e.table, p) for p in range(s * s))
     bad = _first_violation(b.map.table, triples, _lookups(s, e.table))
     if not bad:
         return YbeResult(True, None)
@@ -372,37 +371,12 @@ def _lookups(s: int, e) -> tuple:
     return hi, lo, slo, sehi, [e[b] for b in lo], [e[a] for a in hi]
 
 
-def _triples_entering(s: int, e, pos: int) -> list[tuple[int, int, int, int]]:
-    """Per-triple constants (s*x+y, e[z], s*y+z, s*e[x]) of the triples
-    (x, y, z) whose later first read, max(s*x+y, s*y+z), is entry ``pos``,
-    in lex order."""
-    a, b = divmod(pos, s)
-    return [
-        (s * x + a, e[b], pos, s * e[x]) for x in range(s) if s * x + a < pos
-    ] + [
-        (pos, e[z], s * b + z, s * e[a]) for z in range(s) if s * b + z <= pos
-    ]
-
-
-def _triples_within(s: int, e, pos: int) -> list[tuple[int, int, int, int]]:
-    """The constants of the triples with s*x+y <= pos and s*y+z <= pos, in
-    lex order: those whose first read on both sides is among entries 0..pos.
-    At pos = s²-1 they are all s³ triples.
-
-    The runs entering at 0..pos are sorted stably by s*x+y alone: of two
-    triples with the same s*x+y, the one in the earlier run has the smaller
-    s*y+z.  So no sort key is built per triple.
-    """
-    entering = (_triples_entering(s, e, p) for p in range(pos + 1))
-    return sorted(chain.from_iterable(entering), key=itemgetter(0))
-
-
-def _extend_triples(below, s: int, e, pos: int) -> list[tuple[int, int, int, int]]:
-    """``_triples_within(s, e, pos)`` from ``below``, that list at pos - 1,
-    sorted the same way; the tuples of ``below`` are shared, not rebuilt."""
-    out = below + _triples_entering(s, e, pos)
-    out.sort(key=itemgetter(0))
-    return out
+def _triples_from(s: int, e, pos: int) -> list[tuple[int, int, int, int]]:
+    """Per-triple constants (s*x+y, e[z], s*y+z, s*e[x]) of the s triples
+    (x, y, z) with s*x+y = ``pos``, in lex order.  Concatenated over
+    0..s²-1 they are all s³ triples in lex order."""
+    x, y = divmod(pos, s)
+    return [(pos, e[z], s * y + z, s * e[x]) for z in range(s)]
 
 
 def _first_violation(table, watch, lookups) -> int:
@@ -410,7 +384,7 @@ def _first_violation(table, watch, lookups) -> int:
     disagree on a component determined on both, or 0 if there is none.
 
     The same evaluation as ``_ybe_sides`` on constants from
-    ``_triples_within``: each side reads at most three entries and every
+    ``_triples_from``: each side reads at most three entries and every
     comparable component needs the second entry of both sides.
     """
     hi, lo, slo, sehi, elo, ehi = lookups
@@ -445,7 +419,9 @@ def _reading(table, pos: int, triples, lookups) -> list:
     Evaluating a triple only reads table entries, and each side stops at its
     first unassigned one, so only a side stopped at ``pos`` can move.  A side
     stopped before its second entry anywhere else leaves nothing to compare,
-    so such triples are left out as well.
+    so such triples are left out as well, among them every triple whose
+    first read on either side is an unassigned entry past ``pos``.  The
+    triples kept are in the order of ``triples``.
     """
     hi, _, slo, sehi, elo, _ = lookups
     out = []
@@ -523,6 +499,13 @@ def _solve_branch(args):
     verdict they had at the parent, which passed.  Position 0 starts from the
     empty table, so the root gets the same exact check.
 
+    The triples are kept in one lex list, grown by ``_triples_from(s, e,
+    pos)`` the first time the search reaches pos, so it holds at most s³.
+    Its first s*(pos+1) entries are the triples with s*x+y <= pos, and only
+    they can be watched at pos: entries past pos are unassigned, so the rest
+    stop on the left before reading pos, and ``_reading`` drops the triples
+    of the prefix that stop on the right at an entry past pos.
+
     ``group`` is a group of permutations commuting with e.  A table that
     passes is cut when some σ·T is lex-smaller (``_undecided``), so each leaf
     is the lex-least member of its orbit, and the leaf stands for the whole
@@ -532,11 +515,7 @@ def _solve_branch(args):
     s, e, group, first, bijective, count_only, budget = args
     n2 = s * s
     lookups = _lookups(s, e)
-    # Entries below pos are the assigned ones, so a triple whose first read on
-    # either side lies beyond pos is stopped there and cannot be watched yet.
-    # Each position's list is made when the search first reaches it, from the
-    # list at pos - 1, which the search always reaches first.
-    in_reach: list[Optional[list]] = [None] * n2
+    lex: list[tuple[int, int, int, int]] = []
     acting = [_on_pairs(sigma) for sigma in group if sigma != tuple(range(s))]
     table = [-1] * n2
     used = [False] * n2
@@ -544,9 +523,9 @@ def _solve_branch(args):
     nodes = evals = 0
 
     def frame(pos: int, values, live) -> tuple:
-        if in_reach[pos] is None:
-            in_reach[pos] = _extend_triples(in_reach[pos - 1] if pos else [], s, e, pos)
-        return iter(values), _reading(table, pos, in_reach[pos], lookups), live
+        if len(lex) == s * pos:
+            lex.extend(_triples_from(s, e, pos))
+        return iter(values), _reading(table, pos, islice(lex, s * (pos + 1)), lookups), live
 
     live = [(pairs, sorted(range(n2), key=pairs.__getitem__), 0) for pairs in acting]
     stack = [frame(0, (first,), live)]

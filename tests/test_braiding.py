@@ -1,5 +1,6 @@
 import inspect
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import cache
@@ -18,12 +19,11 @@ from regcat.braiding import (
     ObstructorAssignment,
     YbeProblem,
     _consistent,
-    _extend_triples,
     _first_violation,
     _lookups,
     _reading,
     _stabilizer,
-    _triples_within,
+    _triples_from,
     braiding_from_table,
     canonical_braiding_star,
     check_prebraid_regularity,
@@ -324,6 +324,15 @@ class TestSolveYbe:
         # 3 idempotents x 4 roots, plus 4 candidates at every consistent inner node
         assert seq.nodes > 12 and seq.triples > 0
 
+    def test_work_counters_are_pinned(self):
+        # counts.triples is fixed by the order of the watch lists as well as their contents
+        X = S("U", 3)
+        pinned = [("identity", 93951, 181447), (fm("e", X, X, (0, 1, 0)), 314775, 637193)]
+        for spec, nodes, triples in pinned:
+            res = solve_ybe(YbeProblem(X, e_spec=spec, count_only=True))
+            assert (res.nodes, res.triples) == (nodes, triples)
+        assert full_ybe_search(2, (0, 0), count_only=True) == (49, 128, 257)
+
     def test_count_only_matches_listing(self):
         listed = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all"))
         counted = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True))
@@ -369,6 +378,18 @@ class TestSolveYbe:
         finally:
             sys.setrecursionlimit(limit)
 
+    def test_deep_search_holds_one_list_of_triples(self):
+        # the all-zero table solves the identity, so the search reaches every one of
+        # the 400 entries and its triple list grows to all 8,000 triples, not s⁵/3
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchSpaceTooLarge):
+                solve_ybe(YbeProblem(S("U", 20), count_only=True, max_nodes=400))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
 
 # --- incremental consistency check ----------------------------------------------
 
@@ -393,13 +414,41 @@ def _index_triples(s):
     return list(product(range(s), repeat=3))
 
 
+def _all_triples(s, e):
+    """The constants of all s³ triples, in lex order, as check_ybe builds them."""
+    return [t for pos in range(s * s) for t in _triples_from(s, e, pos)]
+
+
+def _lex_constants(s, e):
+    """The constants (s*x+y, e[z], s*y+z, s*e[x]) of all triples, written out in lex order."""
+    return [
+        (s * x + y, e[z], s * y + z, s * e[x])
+        for x in range(s)
+        for y in range(s)
+        for z in range(s)
+    ]
+
+
+@st.composite
+def search_tables(draw):
+    """A partial table as the search holds it: entries before pos assigned,
+    pos and every later entry unassigned."""
+    s = draw(st.integers(min_value=1, max_value=3))
+    e = draw(st.sampled_from(IDEMPOTENT_TABLES[s]))
+    n2 = s * s
+    pos = draw(st.integers(min_value=0, max_value=n2 - 1))
+    values = st.integers(min_value=0, max_value=n2 - 1)
+    table = draw(st.lists(values, min_size=pos, max_size=pos)) + [-1] * (n2 - pos)
+    return s, e, table, pos
+
+
 class TestIncrementalCheck:
     @settings(max_examples=300)
     @given(partial_tables())
     def test_kernel_matches_ybe_sides(self, case):
         s, e, table, pos, v = case
         table[pos] = v
-        bad = _first_violation(table, _triples_within(s, e, s * s - 1), _lookups(s, e))
+        bad = _first_violation(table, _all_triples(s, e), _lookups(s, e))
         verdicts = [_consistent(s, table, e, [t]) for t in _index_triples(s)]
         assert bad == (verdicts.index(False) + 1 if False in verdicts else 0)
 
@@ -407,7 +456,7 @@ class TestIncrementalCheck:
     @given(partial_tables())
     def test_unwatched_triples_keep_their_verdict(self, case):
         s, e, table, pos, v = case
-        constants = _triples_within(s, e, s * s - 1)
+        constants = _all_triples(s, e)
         watch = set(_reading(table, pos, constants, _lookups(s, e)))
         before = [_consistent(s, table, e, [t]) for t in _index_triples(s)]
         table[pos] = v
@@ -423,35 +472,31 @@ class TestIncrementalCheck:
         lookups = _lookups(s, e)
         if not _consistent(s, table, e, triples):
             return  # the incremental check assumes a consistent parent
-        watch = _reading(table, pos, _triples_within(s, e, s * s - 1), lookups)
+        watch = _reading(table, pos, _all_triples(s, e), lookups)
         table[pos] = v
         assert (_first_violation(table, watch, lookups) == 0) == _consistent(s, table, e, triples)
 
     @pytest.mark.parametrize("s", range(5))
-    def test_position_lists_filter_the_lex_list_of_all_triples(self, s):
+    def test_builder_runs_make_the_lex_list_of_all_triples(self, s):
         # in order too: the order fixes counts.triples
         for e in (m.table for m in enumerate_idempotents(S("U", s))):
-            full = [
-                (s * x + y, e[z], s * y + z, s * e[x])
-                for x in range(s)
-                for y in range(s)
-                for z in range(s)
-            ]
-            below = []
-            for pos in range(-1, s * s):
-                expected = [t for t in full if t[0] <= pos and t[2] <= pos]
-                assert _triples_within(s, e, pos) == expected
-                if pos >= 0:
-                    # the search's list, built from the one before and sharing its tuples
-                    extended = _extend_triples(below, s, e, pos)
-                    assert extended == expected
-                    assert {id(t) for t in below} <= {id(t) for t in extended}
-                    below = extended
+            assert _all_triples(s, e) == _lex_constants(s, e)
+
+    @settings(max_examples=300)
+    @given(search_tables())
+    def test_lex_prefix_gives_the_watch_list_of_the_triples_within_reach(self, case):
+        # the search reads the first s*(pos+1) lex triples; those that also read
+        # nothing past pos on the right are the ones that can be watched
+        s, e, table, pos = case
+        full, lookups = _lex_constants(s, e), _lookups(s, e)
+        within = [t for t in full if t[0] <= pos and t[2] <= pos]
+        prefix = full[: s * (pos + 1)]
+        assert _reading(table, pos, prefix, lookups) == _reading(table, pos, within, lookups)
 
     def test_incremental_verdict_on_every_size2_prefix(self):
         # every consistent prefix the search can meet, every value at the next position
         for e in IDEMPOTENT_TABLES[2]:
-            lookups, constants, triples = _lookups(2, e), _triples_within(2, e, 3), _index_triples(2)
+            lookups, constants, triples = _lookups(2, e), _all_triples(2, e), _index_triples(2)
             for n in range(4):
                 for prefix in product(range(4), repeat=n):
                     table = list(prefix) + [-1] * (4 - n)

@@ -278,7 +278,7 @@ class TestBraidCommands:
         assert time.perf_counter() - start < 3
 
     @pytest.mark.parametrize("argv", [
-        # each position's triples are listed when the search first reaches it
+        # the triple list grows s at a time as the search first reaches each entry
         ("--size", "30"),
         ("--size", "200"),
         # the 293,608 idempotents of 9 elements are built as the search takes them
