@@ -113,47 +113,30 @@ def canonical_braiding_star(b: Braiding) -> Braiding:
     return Braiding(b.right, b.left, section_inner_inverse(b.map))
 
 
-def _triple_map(name, slots_in, slots_out, fn) -> FinMap:
-    dom = ProductSet.of(*slots_in)
-    cod = ProductSet.of(*slots_out)
-    table = []
-    for i in range(dom.carrier.cardinality):
-        table.append(cod.rank(fn(dom.unrank(i))))
-    return FinMap(name, dom.carrier, cod.carrier, tuple(table))
-
-
 def prebraid(b: Braiding, side: str, e: FinMap, slot_objects) -> FinMap:
     """Slot-extended braiding on X⊗Y⊗Z.
 
     side "L": e_X ⊗ B_{Y,Z} mapping X⊗Y⊗Z -> X⊗Z⊗Y;
     side "R": B_{X,Y} ⊗ e_Z mapping X⊗Y⊗Z -> Y⊗X⊗Z.
     """
-    X, Y, Z = slot_objects
-    if side == "L":
-        _require_idempotent_endo(e, X)
-        if b.left.id != Y.id or b.right.id != Z.id:
-            raise TypeMismatch(f"{Y.id}⊗{Z.id}", f"{b.left.id}⊗{b.right.id}")
-        bp = b.dom_product
-
-        def fn(t):
-            x, y, z = t
-            a, c = b.cod_product.unrank(b.map.table[bp.rank((y, z))])
-            return (e.table[x], a, c)
-
-        return _triple_map(f"L({b.map.name})", (X, Y, Z), (X, Z, Y), fn)
-    if side == "R":
-        _require_idempotent_endo(e, Z)
-        if b.left.id != X.id or b.right.id != Y.id:
-            raise TypeMismatch(f"{X.id}⊗{Y.id}", f"{b.left.id}⊗{b.right.id}")
-        bp = b.dom_product
-
-        def fn(t):
-            x, y, z = t
-            a, c = b.cod_product.unrank(b.map.table[bp.rank((x, y))])
-            return (a, c, e.table[z])
-
-        return _triple_map(f"R({b.map.name})", (X, Y, Z), (Y, X, Z), fn)
-    raise ValueError(f"unknown prebraid side {side!r}")
+    if side not in ("L", "R"):
+        raise ValueError(f"unknown prebraid side {side!r}")
+    # the slot e acts on, and the two slots B braids
+    passive, i, j = (0, 1, 2) if side == "L" else (2, 0, 1)
+    slots = list(slot_objects)
+    _require_idempotent_endo(e, slots[passive])
+    if b.left.id != slots[i].id or b.right.id != slots[j].id:
+        raise TypeMismatch(f"{slots[i].id}⊗{slots[j].id}", f"{b.left.id}⊗{b.right.id}")
+    out = list(slots)
+    out[i], out[j] = slots[j], slots[i]
+    dom, cod = ProductSet.of(*slots), ProductSet.of(*out)
+    table = []
+    for k in range(dom.carrier.cardinality):
+        t = list(dom.unrank(k))
+        t[i], t[j] = b.cod_product.unrank(b.map.table[b.dom_product.rank((t[i], t[j]))])
+        t[passive] = e.table[t[passive]]
+        table.append(cod.rank(t))
+    return FinMap(f"{side}({b.map.name})", dom.carrier, cod.carrier, tuple(table))
 
 
 def composite_prebraid(
@@ -593,7 +576,8 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
     count, and so are the work counters.  Under ``e_spec="all"`` only the
     lex-least idempotent of each conjugacy class is searched; classical mode
     takes only the identity, as check_ybe does.  Raises SearchSpaceTooLarge
-    once more than ``max_nodes`` candidate tables have been tested.
+    once more than ``max_nodes`` candidate tables have been tested, and
+    before the search when its s² roots alone are more than that.
     """
     X = problem.carrier
     s = X.cardinality
@@ -621,6 +605,9 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
         b = braiding_from_table("B0", X, X, ())
         sols = [(b, identity(X))]
         return YbeSolutionSet([] if problem.count_only else sols, 1, nodes=1)
+    # every first entry's root is tested, so the solve tests at least s² tables
+    if s * s > problem.max_nodes:
+        raise SearchSpaceTooLarge(s * s, problem.max_nodes, "candidate tables")
 
     # Every branch gets the whole budget and the running total is checked in
     # task order, so whether the bound is hit does not depend on the jobs.

@@ -59,9 +59,6 @@ class FiniteSet:
     def label(self, i: int) -> str:
         return self.elements[i]
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 @dataclass(frozen=True, eq=False)
 class FinMap:
@@ -86,12 +83,6 @@ class FinMap:
         for i, v in enumerate(self.table):
             if not 0 <= v < self.cod.cardinality:
                 raise UnknownLabel(f"index {v}", self.cod.id)
-
-    def __call__(self, i: int) -> int:
-        return self.table[i]
-
-    def apply_label(self, label: str) -> str:
-        return self.cod.label(self.table[self.dom.index(label)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinMap):

@@ -197,10 +197,7 @@ def _first_failures(
         unit = walk.unit[base]
         reach = depth if cycle is None else cycle.length - 1
         span = depth if pairs and pair is None else 0  # the pair search's depth
-        # paths are kept as (last edge, parent) chains: in preorder the parent
-        # of a path is the latest path one edge shorter
-        chain: list = [None] * (span + 1)
-        # end -> [first path, its length, its composite, (length, path) of the first to disagree]
+        # end -> [first path, its composite, the first path to disagree with it]
         seen: dict[str, list] = {}
         for path, end, table in walk.paths_from(base, max(reach, span), None if span else base):
             n = len(path)
@@ -211,33 +208,23 @@ def _first_failures(
                     walk.depth = max(reach, span)
             if n > span:
                 continue
-            chain[n] = link = (path[-1], chain[n - 1])
             first = seen.get(end)
             if first is None:
-                seen[end] = [link, n, table, None]
-            elif n < first[1]:
-                if table != first[2]:
-                    first[3] = (first[1], first[0])
-                    span = min(span, first[1] - 1)
+                seen[end] = [tuple(path), table, None]
+            elif n < len(first[0]):
+                if table != first[1]:
+                    first[2] = first[0]
+                    span = min(span, len(first[0]) - 1)
                     walk.depth = max(reach, span)
-                first[:3] = link, n, table
-            elif table != first[2]:  # once one disagrees, span keeps later paths shorter
-                first[3], span = (n, link), n - 1
+                first[:2] = tuple(path), table
+            elif table != first[1]:  # once one disagrees, span keeps later paths shorter
+                first[2], span = tuple(path), n - 1
                 walk.depth = max(reach, span)
-        found = [(later[0], _unchain(later[1]), _unchain(first[0]))
-                 for first in seen.values() if (later := first[3])]
+        found = [(len(later), later, first[0]) for first in seen.values() if (later := first[2])]
         if found:
             _, later, earlier = min(found)
             pair = earlier, later
     return cycle, pair
-
-
-def _unchain(link) -> tuple[str, ...]:
-    names = []
-    while link is not None:
-        names.append(link[0])
-        link = link[1]
-    return tuple(reversed(names))
 
 
 def cycles_at(d: Diagram, base: str, length: int) -> Iterator[Cycle]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .braiding import Braiding, braiding_from_table
+from .braiding import Braiding
 from .core import FinMap, FiniteSet, ProductSet, build_map
 from .diagrams import Diagram
 from .errors import (
@@ -144,14 +144,28 @@ def parse_workspace(source: str) -> Workspace:
     return ws
 
 
-def _name_list(p: _Parser, what: str) -> list[str]:
+def _items(p: _Parser, item) -> list:
+    """A braced list of one or more ``item(p)``, separated by commas."""
     p.punct("{")
-    names = [p.name(what)]
+    items = [item(p)]
     while p.peek().value == ",":
         p.punct(",")
-        names.append(p.name(what))
+        items.append(item(p))
     p.punct("}")
-    return names
+    return items
+
+
+def _map_from_pairs(
+    name: str, dom: FiniteSet, cod: FiniteSet, pairs: list[tuple[str, str]]
+) -> FinMap:
+    try:
+        return build_map(name, dom, cod, pairs)
+    except DuplicateAssignment as exc:
+        raise AssignedTwice(name, exc.label) from None
+    except MissingAssignment as exc:
+        raise NotTotal(name, exc.label) from None
+    except UnknownLabel as exc:
+        raise UnknownReference(exc.label) from None
 
 
 def _parse_set(p: _Parser, ws: Workspace) -> None:
@@ -159,10 +173,16 @@ def _parse_set(p: _Parser, ws: Workspace) -> None:
     if name in ws.sets:
         raise DuplicateName(name)
     p.punct("=")
-    labels = _name_list(p, "element label")
+    labels = _items(p, lambda p: p.name("element label"))
     if len(set(labels)) != len(labels):
         raise DuplicateName(next(l for i, l in enumerate(labels) if l in labels[:i]))
     ws.sets[name] = FiniteSet(name, tuple(labels))
+
+
+def _map_pair(p: _Parser) -> tuple[str, str]:
+    src = p.name("domain element")
+    p.punct("->")
+    return src, p.name("codomain element")
 
 
 def _parse_map(p: _Parser, ws: Workspace) -> None:
@@ -173,32 +193,14 @@ def _parse_map(p: _Parser, ws: Workspace) -> None:
     dom = ws.require_set(p.name("domain set"))
     p.punct("->")
     cod = ws.require_set(p.name("codomain set"))
-    p.punct("{")
-    pairs = []
-    while True:
-        src = p.name("domain element")
-        p.punct("->")
-        dst = p.name("codomain element")
-        pairs.append((src, dst))
-        if p.peek().value != ",":
-            break
-        p.punct(",")
-    p.punct("}")
-    try:
-        ws.maps[name] = build_map(name, dom, cod, pairs)
-    except DuplicateAssignment as exc:
-        raise AssignedTwice(name, exc.label) from None
-    except MissingAssignment as exc:
-        raise NotTotal(name, exc.label) from None
-    except UnknownLabel as exc:
-        raise UnknownReference(exc.label) from None
+    ws.maps[name] = _map_from_pairs(name, dom, cod, _items(p, _map_pair))
 
 
 def _parse_diagram(p: _Parser, ws: Workspace) -> None:
     name = p.name("diagram name")
     if name in ws.diagrams:
         raise DuplicateName(name)
-    members = _name_list(p, "member map name")
+    members = _items(p, lambda p: p.name("member map name"))
     for m in members:
         ws.require_map(m)
     if len(set(members)) != len(members):
@@ -214,11 +216,8 @@ def _parse_braiding(p: _Parser, ws: Workspace) -> None:
     left = ws.require_set(p.name("left factor set"))
     p.punct("*")
     right = ws.require_set(p.name("right factor set"))
-    p.punct("{")
-    dom = ProductSet.of(left, right)
-    cod = ProductSet.of(right, left)
-    table: list[int | None] = [None] * dom.carrier.cardinality
-    while True:
+
+    def pair(p: _Parser) -> tuple[str, str]:
         p.punct("(")
         a = p.name("left element")
         p.punct(",")
@@ -231,22 +230,14 @@ def _parse_braiding(p: _Parser, ws: Workspace) -> None:
         d = p.name("right image element")
         p.punct(")")
         try:
-            i = dom.rank((left.index(a), right.index(b)))
-            v = cod.rank((right.index(c), left.index(d)))
+            left.index(a), right.index(b), right.index(c), left.index(d)
         except UnknownLabel as exc:
             raise UnknownReference(exc.label) from None
-        if table[i] is not None:
-            raise AssignedTwice(name, f"({a},{b})")
-        table[i] = v
-        if p.peek().value != ",":
-            break
-        p.punct(",")
-    p.punct("}")
-    for i, v in enumerate(table):
-        if v is None:
-            x, y = dom.unrank(i)
-            raise NotTotal(name, f"({left.label(x)},{right.label(y)})")
-    ws.braidings[name] = braiding_from_table(name, left, right, table)  # type: ignore[arg-type]
+        return f"({a},{b})", f"({c},{d})"  # labels on the product carriers
+
+    dom, cod = ProductSet.of(left, right), ProductSet.of(right, left)
+    m = _map_from_pairs(name, dom.carrier, cod.carrier, _items(p, pair))
+    ws.braidings[name] = Braiding(left, right, m)
 
 
 # --- rendering ----------------------------------------------------------------

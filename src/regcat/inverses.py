@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional
 
-from .core import FinMap, all_maps, compose, fibre_columns, map_space_size
+from .core import FinMap, all_maps, classify_map, compose, fibre_columns, map_space_size
 from .errors import (
     NoInverseExists,
     NotAnInnerInverse,
@@ -205,31 +205,17 @@ def invertibility_class(f: FinMap) -> InvertibilityClass:
 
     f is a retraction iff some g has f∘g = Id (for finite sets: f surjective),
     and a coretraction iff some g has g∘f = Id (f injective and, when the
-    domain is empty, the codomain empty too).
+    domain is empty, the codomain empty too).  The least-preimage section
+    ``section_inner_inverse(f)`` is such a g in either case.
     """
-    retraction_witness = None
-    coretraction_witness = None
-    if len(set(f.table)) == f.cod.cardinality:
-        g = section_inner_inverse(f) if f.cod.cardinality else FinMap(
-            f"{f.name}_ret", f.cod, f.dom, ()
-        )
-        if compose(f, g).is_identity():
-            retraction_witness = g
-    if len(set(f.table)) == len(f.table):
-        if f.dom.cardinality == 0:
-            if f.cod.cardinality == 0:
-                coretraction_witness = FinMap(f"{f.name}_coret", f.cod, f.dom, ())
-        else:
-            preimage = {y: x for x, y in enumerate(f.table)}
-            table = tuple(preimage.get(y, 0) for y in range(f.cod.cardinality))
-            g = FinMap(f"{f.name}_coret", f.cod, f.dom, table)
-            if compose(g, f).is_identity():
-                coretraction_witness = g
+    cls = classify_map(f)
+    coretraction = cls.injective and (f.dom.cardinality > 0 or f.cod.cardinality == 0)
+    g = section_inner_inverse(f) if cls.surjective or coretraction else None
     return InvertibilityClass(
-        retraction=retraction_witness is not None,
-        coretraction=coretraction_witness is not None,
-        retraction_witness=retraction_witness,
-        coretraction_witness=coretraction_witness,
+        retraction=cls.surjective,
+        coretraction=coretraction,
+        retraction_witness=g if cls.surjective else None,
+        coretraction_witness=g if coretraction else None,
     )
 
 

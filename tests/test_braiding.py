@@ -353,6 +353,18 @@ class TestSolveYbe:
         with pytest.raises(SearchSpaceTooLarge):
             solve_ybe(YbeProblem(S("U", 4), count_only=True, max_nodes=1000))
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_node_budget_below_the_roots_refuses_before_the_search(self, jobs, monkeypatch):
+        # every first entry's root is tested, so a solve tests at least s² tables
+        def unreachable(*args):
+            raise AssertionError("the search was set up")
+
+        monkeypatch.setattr(braiding, "_solve_branch", unreachable)
+        monkeypatch.setattr(braiding, "Pool", unreachable)
+        with pytest.raises(SearchSpaceTooLarge) as exc:
+            solve_ybe(YbeProblem(S("U", 1000), count_only=True, jobs=jobs, max_nodes=10))
+        assert (exc.value.size, exc.value.bound) == (1_000_000, 10)
+
     def test_bad_jobs(self):
         with pytest.raises(ValueError):
             solve_ybe(YbeProblem(A2, jobs=0))

@@ -116,6 +116,53 @@ class TestParseErrors:
             parse_workspace("set X = { a }\ndiagram D { f }")
 
 
+def _raised(source: str) -> tuple[type, dict]:
+    with pytest.raises(WorkspaceError) as exc:
+        parse_workspace("set A = { a, b }\n" + source)
+    return type(exc.value), vars(exc.value)
+
+
+class TestMapAndBraidingDefects:
+    # a braiding is built as a map between the product carriers, whose labels
+    # name its pairs, so both report a defect by the same rule
+
+    @pytest.mark.parametrize("map_pairs, braiding_pairs, error, map_element, braiding_element", [
+        ("a -> a, a -> b, b -> a", "(a, a) -> (a, a), (a, a) -> (b, b)",
+         AssignedTwice, "a", "(a,a)"),
+        ("a -> a", "(a, a) -> (a, a), (a, b) -> (b, a), (b, a) -> (a, b)",
+         NotTotal, "b", "(b,b)"),
+    ])
+    def test_same_error_and_fields(self, map_pairs, braiding_pairs, error, map_element,
+                                   braiding_element):
+        assert _raised(f"map g : A -> A {{ {map_pairs} }}") == (
+            error, {"map_name": "g", "element": map_element}
+        )
+        assert _raised(f"braiding g : A * A {{ {braiding_pairs} }}") == (
+            error, {"map_name": "g", "element": braiding_element}
+        )
+
+    @pytest.mark.parametrize("map_pairs, braiding_pairs", [
+        ("z -> a", "(a, z) -> (a, a)"),
+        ("a -> z", "(a, a) -> (z, a)"),
+        ("a -> a, b -> z", "(a, a) -> (a, a), (a, b) -> (a, z)"),
+    ])
+    def test_unknown_element_is_named_alone(self, map_pairs, braiding_pairs):
+        for source in (f"map g : A -> A {{ {map_pairs} }}",
+                       f"braiding g : A * A {{ {braiding_pairs} }}"):
+            assert _raised(source) == (UnknownReference, {"name": "z"})
+
+    @pytest.mark.parametrize("source, error", [
+        ("map g : A -> A { a -> a, a -> b, b }", DslSyntaxError),
+        ("braiding g : A * A { (a, a) -> (a, a), (a, a) -> (b, b), (b) }", DslSyntaxError),
+        # a braiding looks up a pair's elements as it reads the pair
+        ("braiding g : A * A { (a, a) -> (a, a), (a, a) -> (b, b), (a, z) -> (a, a) }",
+         UnknownReference),
+    ])
+    def test_assigned_twice_is_reported_after_the_list(self, source, error):
+        # so a later error that is found while the list is read wins
+        assert _raised(source)[0] is error
+
+
 # Near-grammatical workspaces over tiny name pools, after fixed declarations
 # of X and Y, so that declarations often parse far enough to reach the semantic
 # checks (repeated elements, unknown labels, missing assignments) and not

@@ -31,8 +31,9 @@ def test_no_unused_imports():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-def module_level_names(source: str) -> list[str]:
-    """Functions, classes and constants a module defines at its top level."""
+def defined_names(source: str) -> list[str]:
+    """Functions, classes and constants a module defines at its top level, and
+    the methods and properties of its classes."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -40,6 +41,10 @@ def module_level_names(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [
+                m.name for m in node.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
     return [name for name in names if not name.startswith("__")]
 
 
@@ -57,7 +62,8 @@ def references(source: str) -> set[str]:
 
 
 def unreferenced(src: Path, tests: Path) -> list[str]:
-    """Top-level names of the package that neither it nor the tests refer to.
+    """Top-level names, methods and properties of the package that neither it
+    nor the tests refer to.
 
     An import counts, so a name ``__init__.py`` re-exports is referenced.
     """
@@ -66,12 +72,18 @@ def unreferenced(src: Path, tests: Path) -> list[str]:
     return sorted(
         name
         for p in sorted(src.glob("*.py"))
-        for name in module_level_names(p.read_text())
+        for name in defined_names(p.read_text())
         if name not in used
     )
 
 
 def test_no_dead_code():
+    members = (
+        "class A:\n    def __len__(self):\n        return 0\n\n"
+        "    def used(self):\n        return 1\n\n"
+        "    @property\n    def size(self):\n        return 2\n"
+    )
+    assert defined_names(members) == ["A", "used", "size"]
     assert unreferenced(SRC, TESTS) == []
 
 
