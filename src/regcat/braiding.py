@@ -566,6 +566,17 @@ class YbeSolutionSet:
     triples: int = 0  # triple evaluations spent on them
 
 
+def require_root_budget(s: int, max_nodes: int) -> None:
+    """Refuse a solve on s elements whose first tables alone exceed ``max_nodes``.
+
+    Every first entry's root is tested, so a solve tests at least s² tables,
+    and the empty carrier's one table.
+    """
+    roots = max(s * s, 1)
+    if roots > max_nodes:
+        raise SearchSpaceTooLarge(roots, max_nodes, "candidate tables")
+
+
 def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
     """Exhaustive pruned search for YBE solutions on a single carrier.
 
@@ -598,16 +609,12 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
     else:
         raise ValueError(f"bad obstructor spec {problem.e_spec!r} for {problem.mode} mode")
 
+    require_root_budget(s, problem.max_nodes)
     if s == 0:
         # one empty braiding, vacuously a solution
-        if problem.max_nodes < 1:
-            raise SearchSpaceTooLarge(1, problem.max_nodes, "candidate tables")
         b = braiding_from_table("B0", X, X, ())
         sols = [(b, identity(X))]
         return YbeSolutionSet([] if problem.count_only else sols, 1, nodes=1)
-    # every first entry's root is tested, so the solve tests at least s² tables
-    if s * s > problem.max_nodes:
-        raise SearchSpaceTooLarge(s * s, problem.max_nodes, "candidate tables")
 
     # Every branch gets the whole budget and the running total is checked in
     # task order, so whether the bound is hit does not depend on the jobs.

@@ -12,16 +12,23 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import braiding as br
-from . import chains, diagrams, inverses
+# chains, diagrams and braiding are imported by the handlers that run them,
+# so that a call loads only its own subcommand's modules
+from . import inverses
 from .core import FinMap, FiniteSet, classify_map
 from .dsl import Workspace, parse_workspace
 from .errors import RegcatError, SearchSpaceTooLarge
 
+if TYPE_CHECKING:
+    from . import chains, diagrams
+
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
+
+# the witnesses' sort key: json.dumps(w, sort_keys=True) without a new encoder per call
+_witness_key = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass
@@ -44,7 +51,7 @@ class Report:
             "command": self.command,
             "ok": self.ok,
             "result": self.result,
-            "witnesses": sorted(self.witnesses, key=lambda w: json.dumps(w, sort_keys=True)),
+            "witnesses": sorted(self.witnesses, key=_witness_key),
             "counts": self.counts,
         }
         return json.dumps(payload, indent=2)
@@ -105,6 +112,8 @@ def _cmd_inverses(ws: Workspace, ns) -> Report:
 
 
 def _chain_from_names(ws: Workspace, base: FinMap, star_names: str) -> chains.StarChain:
+    from . import chains
+
     stars = [ws.require_map(n) for n in star_names.split(",") if n]
     if not stars:
         raise UsageError("--stars must name at least one map")
@@ -112,6 +121,8 @@ def _chain_from_names(ws: Workspace, base: FinMap, star_names: str) -> chains.St
 
 
 def _cmd_chain(ws: Workspace, ns) -> Report:
+    from . import chains
+
     f = ws.require_map(ns.map)
     if ns.search:
         found = chains.find_chains(f, ns.n, limit=ns.limit, max_space=ns.max_space)
@@ -149,6 +160,8 @@ def _cmd_chain(ws: Workspace, ns) -> Report:
 
 
 def _cmd_projector(ws: Workspace, ns) -> Report:
+    from . import chains
+
     f = ws.require_map(ns.map)
     chain = _chain_from_names(ws, f, ns.stars)
     hp = chains.higher_projector(chain)
@@ -170,6 +183,8 @@ def _cmd_projector(ws: Workspace, ns) -> Report:
 
 
 def _cmd_diagram(ws: Workspace, ns) -> Report:
+    from . import diagrams
+
     d = ws.build_diagram(ns.name)
     check = diagrams.is_commutative if ns.mode == "commutative" else diagrams.is_semicommutative
     rep = check(d, ns.max_len, max_space=ns.max_space)
@@ -193,6 +208,8 @@ def _cmd_diagram(ws: Workspace, ns) -> Report:
 
 
 def _cmd_obstruction(ws: Workspace, ns) -> Report:
+    from . import diagrams
+
     d = ws.build_diagram(ns.name)
     rep = diagrams.obstruction_number(d, ns.object, ns.max_n, max_space=ns.max_space)
     result = {
@@ -208,6 +225,8 @@ def _cmd_obstruction(ws: Workspace, ns) -> Report:
 
 
 def _cmd_cycles3(ws: Workspace, ns) -> Report:
+    from . import diagrams
+
     d = ws.build_diagram(ns.name)
     found = diagrams.find_regular_3cycles(d, max_space=ns.max_space)
     return Report(
@@ -240,6 +259,8 @@ def _parse_pairs(spec: str, what: str) -> dict:
 
 
 def _cmd_functor(ws: Workspace, ns) -> Report:
+    from . import diagrams
+
     src = ws.build_diagram(ns.src)
     tgt = ws.build_diagram(ns.dst)
     fd = diagrams.FunctorData(
@@ -277,6 +298,8 @@ def _cmd_functor(ws: Workspace, ns) -> Report:
 
 
 def _cmd_braid_check(ws: Workspace, ns) -> Report:
+    from . import braiding as br
+
     b = ws.require_braiding(ns.braiding)
     result = {"braiding": ns.braiding}
     witnesses = []
@@ -302,16 +325,23 @@ def _cmd_braid_check(ws: Workspace, ns) -> Report:
 
 
 def _cmd_ybe(ws: Optional[Workspace], ns) -> Report:
-    carrier = FiniteSet("X", tuple(f"x{i}" for i in range(ns.size)))
+    from . import braiding as br
+
     if ns.mode == "classical" and ns.e != "identity":
         raise UsageError(f"--mode classical takes only --e identity, got {ns.e!r}")
-    if ns.e in ("identity", "all"):
+    named = ns.e in ("identity", "all")
+    if not (named or re.fullmatch(r"table:[0-9]+(,[0-9]+)*", ns.e)):
+        raise UsageError(f"bad --e value {ns.e!r}, expected identity, all or table:I,J,...")
+    if named:
+        # refused before the carrier's labels are built; a table is checked
+        # first, as solve_ybe does, and spells out an entry per element anyway
+        br.require_root_budget(ns.size, ns.max_space)
+    carrier = FiniteSet("X", tuple(f"x{i}" for i in range(ns.size)))
+    if named:
         e_spec = ns.e
-    elif re.fullmatch(r"table:[0-9]+(,[0-9]+)*", ns.e):
+    else:
         entries = ns.e[len("table:"):].split(",")
         e_spec = FinMap("e", carrier, carrier, tuple(int(v) for v in entries))
-    else:
-        raise UsageError(f"bad --e value {ns.e!r}, expected identity, all or table:I,J,...")
     problem = br.YbeProblem(
         carrier=carrier,
         mode=ns.mode,

@@ -197,7 +197,11 @@ def _first_failures(
         unit = walk.unit[base]
         reach = depth if cycle is None else cycle.length - 1
         span = depth if pairs and pair is None else 0  # the pair search's depth
-        # end -> [first path, its composite, the first path to disagree with it]
+        # A path is kept as a (last edge, parent) link, O(1) to record: in
+        # preorder the parent of a path is the latest path one edge shorter.
+        # Only the paths that may be reported are spelled out as tuples.
+        links: list = [None] * (span + 1)
+        # end -> [first path, its length, its composite, (length, link) of the first to disagree]
         seen: dict[str, list] = {}
         for path, end, table in walk.paths_from(base, max(reach, span), None if span else base):
             n = len(path)
@@ -208,23 +212,35 @@ def _first_failures(
                     walk.depth = max(reach, span)
             if n > span:
                 continue
+            links[n] = link = (path[-1], links[n - 1])
             first = seen.get(end)
             if first is None:
-                seen[end] = [tuple(path), table, None]
-            elif n < len(first[0]):
-                if table != first[1]:
-                    first[2] = first[0]
-                    span = min(span, len(first[0]) - 1)
+                seen[end] = [link, n, table, None]
+            elif n < first[1]:
+                if table != first[2]:
+                    first[3] = (first[1], first[0])
+                    span = min(span, first[1] - 1)
                     walk.depth = max(reach, span)
-                first[:2] = tuple(path), table
-            elif table != first[1]:  # once one disagrees, span keeps later paths shorter
-                first[2], span = tuple(path), n - 1
+                first[:3] = link, n, table
+            elif table != first[2]:  # once one disagrees, span keeps later paths shorter
+                first[3], span = (n, link), n - 1
                 walk.depth = max(reach, span)
-        found = [(len(later), later, first[0]) for first in seen.values() if (later := first[2])]
+        # the later paths end at distinct ends, so no two of them tie
+        found = [(later[0], _spelled(later[1]), first[0])
+                 for first in seen.values() if (later := first[3])]
         if found:
             _, later, earlier = min(found)
-            pair = earlier, later
+            pair = _spelled(earlier), later
     return cycle, pair
+
+
+def _spelled(link) -> tuple[str, ...]:
+    """The edge names of a path kept as a (last edge, parent) link."""
+    names = []
+    while link is not None:
+        names.append(link[0])
+        link = link[1]
+    return tuple(reversed(names))
 
 
 def cycles_at(d: Diagram, base: str, length: int) -> Iterator[Cycle]:

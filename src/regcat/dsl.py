@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .braiding import Braiding
 from .core import FinMap, FiniteSet, ProductSet, build_map
-from .diagrams import Diagram
 from .errors import (
     AssignedTwice,
     DslSyntaxError,
@@ -34,6 +33,10 @@ from .errors import (
     UnknownLabel,
     UnknownReference,
 )
+
+if TYPE_CHECKING:  # imported where they are built, so that parsing maps loads neither
+    from .braiding import Braiding
+    from .diagrams import Diagram
 
 _TOKEN_RE = re.compile(r"->|[A-Za-z_][A-Za-z0-9_]*|[={},:*()]")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -92,6 +95,8 @@ class Workspace:
 
     def build_diagram(self, name: str) -> Diagram:
         """Materialize a declared diagram: its maps plus their endpoint sets."""
+        from .diagrams import Diagram
+
         if name not in self.diagrams:
             raise UnknownReference(name)
         edges = [self.maps[m] for m in self.diagrams[name]]
@@ -209,6 +214,8 @@ def _parse_diagram(p: _Parser, ws: Workspace) -> None:
 
 
 def _parse_braiding(p: _Parser, ws: Workspace) -> None:
+    from .braiding import Braiding
+
     name = p.name("braiding name")
     if name in ws.braidings:
         raise DuplicateName(name)

@@ -1,13 +1,14 @@
 import io
 import json
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regcat.cli import main
+from regcat.cli import Report, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MAPS = str(FIXTURES / "maps.rcw")
@@ -290,6 +291,21 @@ class TestBraidCommands:
         assert code == 3 and out == ""
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("e", ["identity", "all"])
+    def test_ybe_refuses_a_large_carrier_before_building_it(self, capsys, e):
+        # 10⁵ labels would take megabytes; the refusal needs only s²
+        argv = ("ybe", "--size", "100000", "--mode", "regular", "--e", e, "--max-space", "10")
+        run(capsys, "ybe", "--size", "4", "--mode", "regular", "--max-space", "10")  # imports
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr()) == (3, (
+            "", "error: search space of 10000000000 candidate tables exceeds the bound 10\n"))
+        assert peak < 1_000_000
+
     def test_ybe_reports_work_counters(self, capsys):
         argv = ("ybe", "--size", "2", "--mode", "regular", "--e", "all")
         _, one = run_json(capsys, *argv, "--jobs", "1")
@@ -328,6 +344,23 @@ class TestTopLevel:
         _, out1 = run(capsys, "cycles3", TRIANGLE, "--name", "D", "--json")
         _, out2 = run(capsys, "cycles3", TRIANGLE, "--name", "D", "--json")
         assert out1 == out2
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=3), max_size=8))
+def test_witnesses_sort_by_their_sorted_json(witnesses):
+    # the report's shared encoder orders them as json.dumps(w, sort_keys=True) does
+    listed = json.loads(Report("c", {}, witnesses).to_json())["witnesses"]
+    assert listed == sorted(witnesses, key=lambda w: json.dumps(w, sort_keys=True))
 
 
 NOT_UTF8 = "<a workspace file that is not UTF-8>"

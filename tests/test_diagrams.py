@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -324,6 +325,19 @@ class TestWalk:
         rep = obstruction_number(d, "O0", n)
         assert rep.n_obstr is None and (rep.paths, rep.cycles) == (n, 1)
         assert [c.length for c in cycles_at(d, "O0", n)] == [n]
+
+    def test_ring_walk_keeps_no_path_per_end(self):
+        # each of the 300 ends is reached first by a path of up to 300 edges; the
+        # walk keeps it as a link to its parent, not as a tuple of 150 names on average
+        d = ring(300)
+        tracemalloc.start()
+        try:
+            rep = is_commutative(d, 300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.commutative and rep.paths == 300 * 300
+        assert peak < 300_000
 
     def test_ring_3cycles_and_composition_are_not_quadratic(self):
         # the ring has no 3-cycle and no edge that is a composite: a sweep of

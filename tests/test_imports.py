@@ -1,0 +1,78 @@
+"""Which modules a fresh interpreter loads for ``import regcat`` and for each subcommand."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import regcat
+
+ROOT = Path(__file__).resolve().parent.parent
+MAPS = str(ROOT / "fixtures" / "maps.rcw")
+TRIANGLE = str(ROOT / "fixtures" / "triangle.rcw")
+SEARCH_MODULES = {"regcat.braiding", "regcat.chains", "regcat.diagrams"}
+
+
+def loaded(code: str) -> set[str]:
+    """The regcat and multiprocessing modules loaded after running ``code`` in a
+    fresh interpreter."""
+    report = (
+        "import json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('regcat', 'multiprocessing'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", f"{code}\n{report}"], env=env, cwd=ROOT,
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def after_cli(*argv: str) -> set[str]:
+    return loaded(
+        "import contextlib, io\n"
+        "from regcat.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({list(argv)!r}) == 0\n"
+    )
+
+
+def test_import_regcat_loads_no_submodule():
+    assert loaded("import regcat") == {"regcat"}
+
+
+def test_import_cli_loads_no_search_module():
+    found = loaded("import regcat.cli")
+    assert "regcat.cli" in found
+    assert found & (SEARCH_MODULES | {"multiprocessing"}) == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ("inverses", MAPS, "--map", "f", "--kind", "inner"),
+    ("check-map", MAPS, "--map", "f"),
+])
+def test_map_commands_load_no_search_module(argv):
+    found = after_cli(*argv)
+    assert "regcat.inverses" in found
+    assert found & (SEARCH_MODULES | {"multiprocessing"}) == set()
+
+
+def test_diagram_loads_diagrams_but_not_braiding():
+    found = after_cli("diagram", TRIANGLE, "--name", "D", "--mode", "semicommutative",
+                      "--max-len", "2")
+    assert "regcat.diagrams" in found
+    assert found & {"regcat.braiding", "multiprocessing"} == set()
+
+
+def test_lazy_names_are_the_submodules_own():
+    for name, module in regcat._SUBMODULE_OF.items():
+        assert getattr(regcat, name) is getattr(importlib.import_module(f"regcat.{module}"), name)
+    for module in regcat._SUBMODULES:
+        assert getattr(regcat, module) is importlib.import_module(f"regcat.{module}")
+    assert set(regcat.__all__) <= set(dir(regcat))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        regcat.no_such_name  # noqa: B018
