@@ -22,37 +22,43 @@ solutions over to the other members.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from itertools import chain, groupby, islice, permutations, product
 from math import factorial, prod
 from multiprocessing import Pool
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
-from .core import FinMap, FiniteSet, ProductSet, compose, identity
+from .core import FinMap, FiniteSet, ProductSet, _init_slot, _read_only, compose, identity
 from .errors import NotIdempotent, SearchSpaceTooLarge, TypeMismatch
 from .inverses import DEFAULT_MAX_SPACE, _OuterTables, is_inverse, section_inner_inverse
 
 
-@dataclass(frozen=True)
 class Braiding:
     """A map X⊗Y -> Y⊗X on row-major product carriers."""
 
-    left: FiniteSet
-    right: FiniteSet
-    map: FinMap
-    dom_product: ProductSet = field(init=False)
-    cod_product: ProductSet = field(init=False)
+    __slots__ = ("left", "right", "map", "dom_product", "cod_product")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        dom = ProductSet.of(self.left, self.right)
-        cod = ProductSet.of(self.right, self.left)
-        if self.map.dom.id != dom.carrier.id or self.map.cod.id != cod.carrier.id:
+    def __init__(self, left: FiniteSet, right: FiniteSet, map: FinMap):
+        dom = ProductSet.of(left, right)
+        cod = ProductSet.of(right, left)
+        if map.dom.id != dom.carrier.id or map.cod.id != cod.carrier.id:
             raise TypeMismatch(
                 f"{dom.carrier.id}->{cod.carrier.id}",
-                f"{self.map.dom.id}->{self.map.cod.id}",
+                f"{map.dom.id}->{map.cod.id}",
             )
-        object.__setattr__(self, "dom_product", dom)
-        object.__setattr__(self, "cod_product", cod)
+        for name, value in zip(self.__slots__, (left, right, map, dom, cod)):
+            _init_slot(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.left, self.right, self.map) == (other.left, other.right, other.map)
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right, self.map))
+
+    def __reduce__(self):
+        return Braiding, (self.left, self.right, self.map)
 
 
 def braiding_from_table(name: str, X: FiniteSet, Y: FiniteSet, table) -> Braiding:
@@ -68,18 +74,27 @@ def _require_idempotent_endo(e: FinMap, obj: FiniteSet) -> None:
         raise NotIdempotent(e.name)
 
 
-@dataclass(frozen=True)
 class ObstructorAssignment:
     """Per-object idempotent obstructors; objects without an entry get the identity."""
 
-    obstructors: dict[str, FinMap]
-    level: int = 2
+    __slots__ = ("obstructors", "level")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        for e in self.obstructors.values():
+    def __init__(self, obstructors: dict[str, FinMap], level: int = 2):
+        for e in obstructors.values():
             _require_idempotent_endo(e, e.dom)
-            if self.level == 1 and not e.is_identity():
+            if level == 1 and not e.is_identity():
                 raise NotIdempotent(f"{e.name} (level 1 forces the identity)")
+        _init_slot(self, "obstructors", obstructors)
+        _init_slot(self, "level", level)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.obstructors, self.level) == (other.obstructors, other.level)
+
+    def __reduce__(self):
+        return ObstructorAssignment, (self.obstructors, self.level)
 
     @staticmethod
     def identities() -> "ObstructorAssignment":
@@ -235,8 +250,7 @@ def _consistent(s: int, table, e, triples) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class YbeResult:
+class YbeResult(NamedTuple):
     holds: bool
     witness: Optional[tuple[str, str, str]]
 
@@ -547,8 +561,7 @@ def _solve_branch(args):
     return found, nodes, evals
 
 
-@dataclass(frozen=True)
-class YbeProblem:
+class YbeProblem(NamedTuple):
     carrier: FiniteSet
     mode: str = "regular"  # "classical" | "regular"
     e_spec: Union[str, FinMap] = "identity"  # "identity" | "all" | explicit map
@@ -558,8 +571,7 @@ class YbeProblem:
     max_nodes: int = DEFAULT_MAX_SPACE  # bound on candidate tables tested
 
 
-@dataclass(frozen=True)
-class YbeSolutionSet:
+class YbeSolutionSet(NamedTuple):
     solutions: list[tuple[Braiding, FinMap]]
     count: int
     nodes: int = 0  # candidate tables tested, one root per branch included

@@ -16,8 +16,7 @@ makes the level-by-level construction in ``find_chains`` sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import FinMap, all_maps, compose, compose_path, fibre_columns, map_space_size
 from .errors import (
@@ -30,8 +29,7 @@ from .errors import (
 from .inverses import DEFAULT_MAX_SPACE, is_inverse
 
 
-@dataclass(frozen=True)
-class StarChain:
+class StarChain(NamedTuple):
     base: FinMap
     stars: tuple[FinMap, ...]
 
@@ -78,8 +76,7 @@ def chain_obstructor(c: StarChain) -> FinMap:
     return compose_path(list(reversed(c.stars)))
 
 
-@dataclass(frozen=True)
-class ChainVerdict:
+class ChainVerdict(NamedTuple):
     odd_closure: Optional[bool]    # conjunction over odd prefix orders, None if none
     even_closure: Optional[bool]   # conjunction over even prefix orders, None if none
     ef_form: bool                  # base ∘ obstructor = base
@@ -136,8 +133,7 @@ def extend_periodic(f: FinMap, fstar: FinMap, n: int) -> StarChain:
     return StarChain(f, stars)
 
 
-@dataclass(frozen=True)
-class ChainSearchResult:
+class ChainSearchResult(NamedTuple):
     chains: list[StarChain]
     truncated: bool  # a further tower exists beyond the limit
     nodes: int       # star tables built over all levels
@@ -211,8 +207,7 @@ def find_chains(
     return ChainSearchResult(found[:limit], truncated, nodes)
 
 
-@dataclass(frozen=True)
-class HigherProjector:
+class HigherProjector(NamedTuple):
     projector: FinMap
     side: str  # "codomain" for odd order, "domain" for even order
     idempotent: bool

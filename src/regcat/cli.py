@@ -11,8 +11,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 # chains, diagrams and braiding are imported by the handlers that run them,
 # so that a call loads only its own subcommand's modules
@@ -31,12 +30,28 @@ RESOURCE_ERROR = 3
 _witness_key = json.JSONEncoder(sort_keys=True).encode
 
 
-@dataclass
 class Report:
-    command: str
-    result: dict
-    witnesses: list = field(default_factory=list)
-    counts: dict = field(default_factory=dict)
+    """One subcommand's outcome: its result, the witnesses of any failure, its work counters."""
+
+    __slots__ = ("command", "result", "witnesses", "counts")
+
+    def __init__(
+        self,
+        command: str,
+        result: dict,
+        witnesses: Optional[list] = None,
+        counts: Optional[dict] = None,
+    ):
+        self.command = command
+        self.result = result
+        self.witnesses = [] if witnesses is None else witnesses
+        self.counts = {} if counts is None else counts
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.command, self.result, self.witnesses, self.counts) == (
+            other.command, other.result, other.witnesses, other.counts)
 
     @property
     def ok(self) -> bool:
@@ -400,82 +415,97 @@ NON_NEGATIVE = _int_at_least(0)
 POSITIVE = _int_at_least(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit the JSON report")
-    common.add_argument(
+# the subcommands in the order ``regcat --help`` lists them, with their help
+SUBCOMMANDS = {
+    "check-map": "classify a map and report a regularity witness",
+    "inverses": "enumerate inner/outer/generalized inverses",
+    "chain": "check or search star chains",
+    "projector": "higher projector of a star chain",
+    "diagram": "commutativity or semicommutativity check",
+    "obstruction": "least cycle length with non-identity obstructor",
+    "cycles3": "list the regular 3-cycles of a diagram",
+    "functor": "generalized functor check between two diagrams",
+    "braid-check": "symmetry/regularity/YBE checks for a braiding",
+    "ybe": "solve the YBE on a fresh carrier",
+}
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The regcat parser, with arguments only for the subcommands named in ``argv``.
+
+    Every subcommand is listed with its help, so the top-level help and
+    errors do not depend on ``argv``; argparse runs at most one subcommand's
+    parser, and it is always one named in ``argv``.
+    """
+    parser = argparse.ArgumentParser(prog="regcat", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        if name in argv:
+            _add_arguments(p, name)
+    return parser
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    """Give one subcommand's parser its arguments, in the order its help lists them."""
+    p.add_argument("--json", action="store_true", help="emit the JSON report")
+    p.add_argument(
         "--max-space", type=NON_NEGATIVE, default=inverses.DEFAULT_MAX_SPACE, dest="max_space",
         help="bound on exhaustive search spaces",
     )
-
-    parser = argparse.ArgumentParser(prog="regcat", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def file_cmd(name: str, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    if command != "ybe":
         p.add_argument("file", help="workspace file")
-        return p
 
-    p = file_cmd("check-map", help="classify a map and report a regularity witness")
-    p.add_argument("--map", required=True)
-
-    p = file_cmd("inverses", help="enumerate inner/outer/generalized inverses")
-    p.add_argument("--map", required=True)
-    p.add_argument("--kind", required=True, choices=list(inverses.INVERSE_KINDS))
-    p.add_argument("--count-only", action="store_true", dest="count_only")
-    p.add_argument("--limit", type=NON_NEGATIVE, default=None)
-
-    p = file_cmd("chain", help="check or search star chains")
-    p.add_argument("--map", required=True)
-    p.add_argument("--n", type=POSITIVE, required=True)
-    p.add_argument("--search", action="store_true")
-    p.add_argument("--limit", type=NON_NEGATIVE, default=None)
-    p.add_argument("--stars", default="")
-
-    p = file_cmd("projector", help="higher projector of a star chain")
-    p.add_argument("--map", required=True)
-    p.add_argument("--stars", required=True)
-
-    p = file_cmd("diagram", help="commutativity or semicommutativity check")
-    p.add_argument("--name", required=True)
-    p.add_argument("--mode", required=True, choices=["commutative", "semicommutative"])
-    p.add_argument("--max-len", type=POSITIVE, required=True, dest="max_len")
-
-    p = file_cmd("obstruction", help="least cycle length with non-identity obstructor")
-    p.add_argument("--name", required=True)
-    p.add_argument("--object", required=True)
-    p.add_argument("--max-n", type=POSITIVE, required=True, dest="max_n")
-
-    p = file_cmd("cycles3", help="list the regular 3-cycles of a diagram")
-    p.add_argument("--name", required=True)
-
-    p = file_cmd("functor", help="generalized functor check between two diagrams")
-    p.add_argument("--from", required=True, dest="src")
-    p.add_argument("--to", required=True, dest="dst")
-    p.add_argument("--objects", required=True)
-    p.add_argument("--maps", required=True)
-    p.add_argument("--n", type=POSITIVE, required=True)
-
-    p = file_cmd("braid-check", help="symmetry/regularity/YBE checks for a braiding")
-    p.add_argument("--braiding", required=True)
-    p.add_argument("--star", default=None)
-    p.add_argument("--e", default=None)
-
-    p = sub.add_parser("ybe", parents=[common], help="solve the YBE on a fresh carrier")
-    p.add_argument("--size", type=NON_NEGATIVE, required=True)
-    p.add_argument("--mode", required=True, choices=["classical", "regular"])
-    p.add_argument("--e", default="identity")
-    p.add_argument("--bijective", action="store_true")
-    p.add_argument("--count-only", action="store_true", dest="count_only")
-    p.add_argument("--jobs", type=POSITIVE, default=1)
-
-    return parser
+    if command == "check-map":
+        p.add_argument("--map", required=True)
+    elif command == "inverses":
+        p.add_argument("--map", required=True)
+        p.add_argument("--kind", required=True, choices=list(inverses.INVERSE_KINDS))
+        p.add_argument("--count-only", action="store_true", dest="count_only")
+        p.add_argument("--limit", type=NON_NEGATIVE, default=None)
+    elif command == "chain":
+        p.add_argument("--map", required=True)
+        p.add_argument("--n", type=POSITIVE, required=True)
+        p.add_argument("--search", action="store_true")
+        p.add_argument("--limit", type=NON_NEGATIVE, default=None)
+        p.add_argument("--stars", default="")
+    elif command == "projector":
+        p.add_argument("--map", required=True)
+        p.add_argument("--stars", required=True)
+    elif command == "diagram":
+        p.add_argument("--name", required=True)
+        p.add_argument("--mode", required=True, choices=["commutative", "semicommutative"])
+        p.add_argument("--max-len", type=POSITIVE, required=True, dest="max_len")
+    elif command == "obstruction":
+        p.add_argument("--name", required=True)
+        p.add_argument("--object", required=True)
+        p.add_argument("--max-n", type=POSITIVE, required=True, dest="max_n")
+    elif command == "cycles3":
+        p.add_argument("--name", required=True)
+    elif command == "functor":
+        p.add_argument("--from", required=True, dest="src")
+        p.add_argument("--to", required=True, dest="dst")
+        p.add_argument("--objects", required=True)
+        p.add_argument("--maps", required=True)
+        p.add_argument("--n", type=POSITIVE, required=True)
+    elif command == "braid-check":
+        p.add_argument("--braiding", required=True)
+        p.add_argument("--star", default=None)
+        p.add_argument("--e", default=None)
+    else:
+        p.add_argument("--size", type=NON_NEGATIVE, required=True)
+        p.add_argument("--mode", required=True, choices=["classical", "regular"])
+        p.add_argument("--e", default="identity")
+        p.add_argument("--bijective", action="store_true")
+        p.add_argument("--count-only", action="store_true", dest="count_only")
+        p.add_argument("--jobs", type=POSITIVE, default=1)
 
 
 def main(argv=None) -> int:
     """Parse, load the workspace, run one handler, render; return the exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
+        ns = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     try:

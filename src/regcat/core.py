@@ -17,9 +17,8 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
     DuplicateAssignment,
@@ -29,22 +28,48 @@ from .errors import (
     UnknownLabel,
 )
 
+# The records that validate or derive a field are plain classes with
+# ``__slots__``; the rest are ``NamedTuple``s.  Neither needs ``dataclasses``,
+# whose import and per-class code generation would cost every CLI call more
+# than most commands spend on their work.  The read-only records set their
+# slots with ``_init_slot`` and refuse any later assignment.
+_init_slot = object.__setattr__
 
-@dataclass(frozen=True)
+
+def _read_only(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class FiniteSet:
     """A named finite carrier with ordered, labelled elements."""
 
-    id: str
-    elements: tuple[str, ...]
+    __slots__ = ("id", "elements", "_index")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+    def __init__(self, id: str, elements: tuple[str, ...]):
+        if len(set(elements)) != len(elements):
             seen = set()
-            for lbl in self.elements:
+            for lbl in elements:
                 if lbl in seen:
                     raise DuplicateAssignment(lbl)
                 seen.add(lbl)
-        object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.elements)})
+        _init_slot(self, "id", id)
+        _init_slot(self, "elements", elements)
+        _init_slot(self, "_index", {l: i for i, l in enumerate(elements)})
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.id == other.id and self.elements == other.elements
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.elements))
+
+    def __repr__(self) -> str:
+        return f"FiniteSet(id={self.id!r}, elements={self.elements!r})"
+
+    def __reduce__(self):
+        return FiniteSet, (self.id, self.elements)
 
     @property
     def cardinality(self) -> int:
@@ -60,7 +85,6 @@ class FiniteSet:
         return self.elements[i]
 
 
-@dataclass(frozen=True, eq=False)
 class FinMap:
     """A total map between two finite sets, stored as a table of indices.
 
@@ -68,12 +92,18 @@ class FinMap:
     cod id and table coincide.
     """
 
-    name: str
-    dom: FiniteSet
-    cod: FiniteSet
-    table: tuple[int, ...]
+    __slots__ = ("name", "dom", "cod", "table")
+    __setattr__ = __delattr__ = _read_only
+
+    def __init__(self, name: str, dom: FiniteSet, cod: FiniteSet, table: tuple[int, ...]):
+        _init_slot(self, "name", name)
+        _init_slot(self, "dom", dom)
+        _init_slot(self, "cod", cod)
+        _init_slot(self, "table", table)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the table against the carriers, once per construction."""
         if len(self.table) != self.dom.cardinality:
             raise MissingAssignment(
                 self.dom.elements[len(self.table)]
@@ -102,18 +132,40 @@ class FinMap:
     def is_identity(self) -> bool:
         return self.is_endo() and all(v == i for i, v in enumerate(self.table))
 
+    def __repr__(self) -> str:
+        return (f"FinMap(name={self.name!r}, dom={self.dom!r}, cod={self.cod!r},"
+                f" table={self.table!r})")
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return FinMap, (self.name, self.dom, self.cod, self.table)
+
+
 class Subset:
     """A subset of a finite set, as a frozen set of element indices."""
 
-    of: FiniteSet
-    members: frozenset[int]
+    __slots__ = ("of", "members")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        for i in self.members:
-            if not 0 <= i < self.of.cardinality:
-                raise SubsetDomainMismatch(f"index {i} outside {self.of.id!r}")
+    def __init__(self, of: FiniteSet, members: frozenset[int]):
+        for i in members:
+            if not 0 <= i < of.cardinality:
+                raise SubsetDomainMismatch(f"index {i} outside {of.id!r}")
+        _init_slot(self, "of", of)
+        _init_slot(self, "members", members)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.of == other.of and self.members == other.members
+
+    def __hash__(self) -> int:
+        return hash((self.of, self.members))
+
+    def __repr__(self) -> str:
+        return f"Subset(of={self.of!r}, members={self.members!r})"
+
+    def __reduce__(self):
+        return Subset, (self.of, self.members)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.of.label(i) for i in sorted(self.members))
@@ -122,8 +174,7 @@ class Subset:
         return tuple(sorted(self.members))
 
 
-@dataclass(frozen=True)
-class ProductSet:
+class ProductSet(NamedTuple):
     """An ordered product of finite sets with a flat row-major carrier."""
 
     factors: tuple[FiniteSet, ...]
@@ -214,8 +265,7 @@ def tensor(f: FinMap, g: FinMap) -> FinMap:
 # --- predicates and subset calculus ------------------------------------------
 
 
-@dataclass(frozen=True)
-class MapClassification:
+class MapClassification(NamedTuple):
     injective: bool
     surjective: bool
     bijective: bool
@@ -252,8 +302,7 @@ def subsets_lex(X: FiniteSet) -> Iterator[Subset]:
         yield Subset(X, frozenset(key))
 
 
-@dataclass(frozen=True)
-class SubsetRegularityResult:
+class SubsetRegularityResult(NamedTuple):
     holds: bool
     witness: Optional[Subset]
 

@@ -26,11 +26,9 @@ prefixes than its bound raises ``SearchSpaceTooLarge``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .core import FinMap, FiniteSet, compose, compose_path, tensor
+from .core import FinMap, FiniteSet, _init_slot, _read_only, compose, compose_path, tensor
 from .errors import (
     BrokenPath,
     DuplicateName,
@@ -44,8 +42,7 @@ from .errors import (
 from .inverses import DEFAULT_MAX_SPACE
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(NamedTuple):
     objects: dict[str, FiniteSet]
     edges: dict[str, FinMap]
 
@@ -74,8 +71,7 @@ class Diagram:
         return sorted(n for n, m in self.edges.items() if m.dom.id == object_id)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     base: str
     edges: tuple[str, ...]
 
@@ -259,8 +255,7 @@ def all_cycles(d: Diagram, max_len: int) -> Iterator[Cycle]:
             yield c
 
 
-@dataclass(frozen=True)
-class ObstructorReport:
+class ObstructorReport(NamedTuple):
     e: FinMap
     is_identity: bool
     is_idempotent: bool
@@ -271,16 +266,30 @@ def obstructor(d: Diagram, c: Cycle) -> ObstructorReport:
     return ObstructorReport(e, e.is_identity(), compose(e, e) == e)
 
 
-# Reports carry the walk's work counters, which take no part in equality.
-_count = partial(field, default=0, compare=False)
+# Reports carry the walk's work counters, their last two fields, which take
+# no part in equality or hashing.
+def _verdict_eq(self, other) -> bool:
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return self[:-2] == other[:-2]
 
 
-@dataclass(frozen=True)
-class CommutativityReport:
+def _verdict_ne(self, other) -> bool:
+    eq = _verdict_eq(self, other)
+    return eq if eq is NotImplemented else not eq
+
+
+def _verdict_hash(self) -> int:
+    return hash(self[:-2])
+
+
+class CommutativityReport(NamedTuple):
     commutative: bool
     violations: tuple[tuple, ...]  # at most one per violation class
-    paths: int = _count()
-    cycles: int = _count()
+    paths: int = 0
+    cycles: int = 0
+
+    __eq__, __ne__, __hash__ = _verdict_eq, _verdict_ne, _verdict_hash
 
 
 def is_commutative(
@@ -303,12 +312,13 @@ def is_commutative(
     return CommutativityReport(not violations, tuple(violations), walk.paths, walk.cycles)
 
 
-@dataclass(frozen=True)
-class SemicommutativityReport:
+class SemicommutativityReport(NamedTuple):
     semicommutative: bool
     violations: tuple[tuple, ...]
-    paths: int = _count()
-    cycles: int = _count()
+    paths: int = 0
+    cycles: int = 0
+
+    __eq__, __ne__, __hash__ = _verdict_eq, _verdict_ne, _verdict_hash
 
 
 def is_semicommutative(
@@ -338,12 +348,13 @@ def is_semicommutative(
     return SemicommutativityReport(not violations, violations, walk.paths, walk.cycles)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     n_obstr: Optional[int]  # None: no non-identity obstructor up to max_n
     witness: Optional[Cycle]
-    paths: int = _count()
-    cycles: int = _count()
+    paths: int = 0
+    cycles: int = 0
+
+    __eq__, __ne__, __hash__ = _verdict_eq, _verdict_ne, _verdict_hash
 
 
 def obstruction_number(
@@ -360,7 +371,6 @@ def obstruction_number(
 # --- regular 3-cycles ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RegularThreeCycle:
     """A triple f: X->Y, g: Y->Z, h: Z->X with f∘h∘g∘f = f.
 
@@ -368,19 +378,29 @@ class RegularThreeCycle:
     e = h∘g∘f.
     """
 
-    x: FiniteSet
-    y: FiniteSet
-    z: FiniteSet
-    f: FinMap
-    g: FinMap
-    h: FinMap
-    obstructor: FinMap = field(init=False)
+    __slots__ = ("x", "y", "z", "f", "g", "h", "obstructor")
+    __setattr__ = __delattr__ = _read_only
 
-    def __post_init__(self):
-        e = compose(self.h, compose(self.g, self.f))
-        if compose(self.f, e) != self.f:
-            raise NotRegular(f"({self.f.name},{self.g.name},{self.h.name})")
-        object.__setattr__(self, "obstructor", e)
+    def __init__(self, x: FiniteSet, y: FiniteSet, z: FiniteSet, f: FinMap, g: FinMap, h: FinMap):
+        e = compose(h, compose(g, f))
+        if compose(f, e) != f:
+            raise NotRegular(f"({f.name},{g.name},{h.name})")
+        for name, value in zip(self.__slots__, (x, y, z, f, g, h, e)):
+            _init_slot(self, name, value)
+
+    def _key(self) -> tuple:
+        return self.x, self.y, self.z, self.f, self.g, self.h
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return RegularThreeCycle, self._key()
 
 
 def find_regular_3cycles(
@@ -431,16 +451,14 @@ def product_3cycle(c1: RegularThreeCycle, c2: RegularThreeCycle) -> RegularThree
 # --- generalized functors -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctorData:
+class FunctorData(NamedTuple):
     source: Diagram
     target: Diagram
     object_map: dict[str, str]
     edge_map: dict[str, str]
 
 
-@dataclass(frozen=True)
-class FunctorReport:
+class FunctorReport(NamedTuple):
     composition_preserved: bool
     e_preserved: bool
     violations: tuple[tuple, ...]

@@ -19,8 +19,7 @@ Grammar (UTF-8 text, '#' starts a line comment)::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .core import FinMap, FiniteSet, ProductSet, build_map
 from .errors import (
@@ -42,8 +41,7 @@ _TOKEN_RE = re.compile(r"->|[A-Za-z_][A-Za-z0-9_]*|[={},:*()]")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "name" | "punct" | "eof"
     value: str
     line: int
@@ -71,12 +69,28 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
-@dataclass
 class Workspace:
-    sets: dict[str, FiniteSet] = field(default_factory=dict)
-    maps: dict[str, FinMap] = field(default_factory=dict)
-    diagrams: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    braidings: dict[str, Braiding] = field(default_factory=dict)
+    """The declarations of one workspace file, by kind and name."""
+
+    __slots__ = ("sets", "maps", "diagrams", "braidings")
+
+    def __init__(
+        self,
+        sets: Optional[dict[str, FiniteSet]] = None,
+        maps: Optional[dict[str, FinMap]] = None,
+        diagrams: Optional[dict[str, tuple[str, ...]]] = None,
+        braidings: Optional[dict[str, Braiding]] = None,
+    ):
+        self.sets = {} if sets is None else sets
+        self.maps = {} if maps is None else maps
+        self.diagrams = {} if diagrams is None else diagrams
+        self.braidings = {} if braidings is None else braidings
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sets, self.maps, self.diagrams, self.braidings) == (
+            other.sets, other.maps, other.diagrams, other.braidings)
 
     def require_set(self, name: str) -> FiniteSet:
         if name not in self.sets:

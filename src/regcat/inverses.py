@@ -9,9 +9,8 @@ inverses exist and whether the generalized one is unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import FinMap, all_maps, classify_map, compose, fibre_columns, map_space_size
 from .errors import (
@@ -56,8 +55,7 @@ def section_inner_inverse(f: FinMap) -> FinMap:
     return FinMap(f"{f.name}_sec", f.cod, f.dom, table)
 
 
-@dataclass(frozen=True)
-class InverseEnumeration:
+class InverseEnumeration(NamedTuple):
     maps: list[FinMap]
     count: int
     truncated: bool  # a further inverse exists beyond the limit
@@ -166,8 +164,7 @@ def generalized_from_inner(f: FinMap, g_in: FinMap) -> FinMap:
     return compose(g_in, compose(f, g_in))
 
 
-@dataclass(frozen=True)
-class ProjectorPair:
+class ProjectorPair(NamedTuple):
     """The two projection operators of a pair (f, f*)."""
 
     p_f: FinMap        # f∘f*, endomap of cod(f)
@@ -192,8 +189,7 @@ def projectors(f: FinMap, fstar: FinMap) -> ProjectorPair:
     )
 
 
-@dataclass(frozen=True)
-class InvertibilityClass:
+class InvertibilityClass(NamedTuple):
     retraction: bool
     coretraction: bool
     retraction_witness: Optional[FinMap]
@@ -219,8 +215,7 @@ def invertibility_class(f: FinMap) -> InvertibilityClass:
     )
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     projectors_commute: bool
     composite_regular: bool
     composite_star: FinMap

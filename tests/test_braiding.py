@@ -2,7 +2,6 @@ import inspect
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from functools import cache
 from itertools import permutations, product
 from math import factorial, prod
@@ -567,7 +566,7 @@ class TestSymmetryReduction:
         problem = YbeProblem(X, e_spec=fm("e", X, X, e), jobs=jobs)
         listed = solve_ybe(problem)
         assert [b.map.table for b, _ in listed.solutions] == full
-        assert listed.count == solve_ybe(replace(problem, count_only=True)).count == len(full)
+        assert listed.count == solve_ybe(problem._replace(count_only=True)).count == len(full)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("s", [1, 2])
@@ -577,7 +576,7 @@ class TestSymmetryReduction:
         problem = YbeProblem(X, e_spec="all", jobs=jobs)
         listed = solve_ybe(problem)
         assert [(e.table, b.map.table) for b, e in listed.solutions] == full
-        assert listed.count == solve_ybe(replace(problem, count_only=True)).count == len(full)
+        assert listed.count == solve_ybe(problem._replace(count_only=True)).count == len(full)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_conjugate_is_carried_over_from_its_class_representative(self, monkeypatch, jobs):

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -332,6 +333,26 @@ class TestTopLevel:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("command, options", [
+        ("check-map", ["--map"]),
+        ("inverses", ["--map", "--kind", "--count-only", "--limit"]),
+        ("chain", ["--map", "--n", "--search", "--limit", "--stars"]),
+        ("projector", ["--map", "--stars"]),
+        ("diagram", ["--name", "--mode", "--max-len"]),
+        ("obstruction", ["--name", "--object", "--max-n"]),
+        ("cycles3", ["--name"]),
+        ("functor", ["--from", "--to", "--objects", "--maps", "--n"]),
+        ("braid-check", ["--braiding", "--star", "--e"]),
+        ("ybe", ["--size", "--mode", "--e", "--bijective", "--count-only", "--jobs"]),
+    ])
+    def test_subcommand_help_lists_its_options(self, command, options, capsys):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: regcat {command} ")
+        positionals = [] if command == "ybe" else ["file"]
+        listed = re.findall(r"^  (-h, --help|\S+)", out, re.M)
+        assert listed == [*positionals, "-h, --help", "--json", "--max-space", *options]
 
     def test_text_output_mentions_verdict(self, capsys):
         code, out = run(
