@@ -27,16 +27,16 @@ from math import factorial, prod
 from multiprocessing import Pool
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .core import FinMap, FiniteSet, ProductSet, _init_slot, _read_only, compose, identity
+from .core import FinMap, FiniteSet, ProductSet, _Record, compose, identity
 from .errors import NotIdempotent, SearchSpaceTooLarge, TypeMismatch
 from .inverses import DEFAULT_MAX_SPACE, _OuterTables, is_inverse, section_inner_inverse
 
 
-class Braiding:
+class Braiding(_Record):
     """A map X⊗Y -> Y⊗X on row-major product carriers."""
 
-    __slots__ = ("left", "right", "map", "dom_product", "cod_product")
-    __setattr__ = __delattr__ = _read_only
+    _args = ("left", "right", "map")
+    __slots__ = (*_args, "dom_product", "cod_product")
 
     def __init__(self, left: FiniteSet, right: FiniteSet, map: FinMap):
         dom = ProductSet.of(left, right)
@@ -46,19 +46,7 @@ class Braiding:
                 f"{dom.carrier.id}->{cod.carrier.id}",
                 f"{map.dom.id}->{map.cod.id}",
             )
-        for name, value in zip(self.__slots__, (left, right, map, dom, cod)):
-            _init_slot(self, name, value)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.left, self.right, self.map) == (other.left, other.right, other.map)
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right, self.map))
-
-    def __reduce__(self):
-        return Braiding, (self.left, self.right, self.map)
+        self._fill(left, right, map, dom, cod)
 
 
 def braiding_from_table(name: str, X: FiniteSet, Y: FiniteSet, table) -> Braiding:
@@ -74,27 +62,17 @@ def _require_idempotent_endo(e: FinMap, obj: FiniteSet) -> None:
         raise NotIdempotent(e.name)
 
 
-class ObstructorAssignment:
+class ObstructorAssignment(_Record):
     """Per-object idempotent obstructors; objects without an entry get the identity."""
 
-    __slots__ = ("obstructors", "level")
-    __setattr__ = __delattr__ = _read_only
+    __slots__ = _args = ("obstructors", "level")
 
     def __init__(self, obstructors: dict[str, FinMap], level: int = 2):
         for e in obstructors.values():
             _require_idempotent_endo(e, e.dom)
             if level == 1 and not e.is_identity():
                 raise NotIdempotent(f"{e.name} (level 1 forces the identity)")
-        _init_slot(self, "obstructors", obstructors)
-        _init_slot(self, "level", level)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.obstructors, self.level) == (other.obstructors, other.level)
-
-    def __reduce__(self):
-        return ObstructorAssignment, (self.obstructors, self.level)
+        self._fill(obstructors, level)
 
     @staticmethod
     def identities() -> "ObstructorAssignment":

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 # chains, diagrams and braiding are imported by the handlers that run them,
 # so that a call loads only its own subcommand's modules
 from . import inverses
-from .core import FinMap, FiniteSet, classify_map
+from .core import FinMap, FiniteSet, _Record, classify_map
 from .dsl import Workspace, parse_workspace
 from .errors import RegcatError, SearchSpaceTooLarge
 
@@ -30,10 +30,10 @@ RESOURCE_ERROR = 3
 _witness_key = json.JSONEncoder(sort_keys=True).encode
 
 
-class Report:
+class Report(_Record):
     """One subcommand's outcome: its result, the witnesses of any failure, its work counters."""
 
-    __slots__ = ("command", "result", "witnesses", "counts")
+    __slots__ = _args = ("command", "result", "witnesses", "counts")
 
     def __init__(
         self,
@@ -42,16 +42,8 @@ class Report:
         witnesses: Optional[list] = None,
         counts: Optional[dict] = None,
     ):
-        self.command = command
-        self.result = result
-        self.witnesses = [] if witnesses is None else witnesses
-        self.counts = {} if counts is None else counts
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.command, self.result, self.witnesses, self.counts) == (
-            other.command, other.result, other.witnesses, other.counts)
+        self._fill(command, result, [] if witnesses is None else witnesses,
+                   {} if counts is None else counts)
 
     @property
     def ok(self) -> bool:
@@ -351,12 +343,12 @@ def _cmd_ybe(ws: Optional[Workspace], ns) -> Report:
         # refused before the carrier's labels are built; a table is checked
         # first, as solve_ybe does, and spells out an entry per element anyway
         br.require_root_budget(ns.size, ns.max_space)
-    carrier = FiniteSet("X", tuple(f"x{i}" for i in range(ns.size)))
-    if named:
-        e_spec = ns.e
     else:
         entries = ns.e[len("table:"):].split(",")
-        e_spec = FinMap("e", carrier, carrier, tuple(int(v) for v in entries))
+        if len(entries) != ns.size:
+            raise UsageError(f"--e table has {len(entries)} entries, expected {ns.size}")
+    carrier = FiniteSet("X", tuple(f"x{i}" for i in range(ns.size)))
+    e_spec = ns.e if named else FinMap("e", carrier, carrier, tuple(int(v) for v in entries))
     problem = br.YbeProblem(
         carrier=carrier,
         mode=ns.mode,

@@ -28,23 +28,58 @@ from .errors import (
     UnknownLabel,
 )
 
-# The records that validate or derive a field are plain classes with
-# ``__slots__``; the rest are ``NamedTuple``s.  Neither needs ``dataclasses``,
-# whose import and per-class code generation would cost every CLI call more
-# than most commands spend on their work.  The read-only records set their
-# slots with ``_init_slot`` and refuse any later assignment.
-_init_slot = object.__setattr__
+# The records that validate or derive a field are ``_Record``s; the rest are
+# ``NamedTuple``s.  Neither needs ``dataclasses``, whose import and per-class
+# code generation would cost every CLI call more than most commands spend on
+# their work.
 
 
 def _read_only(self, name, value=None):
     raise AttributeError(f"cannot assign to field {name!r}")
 
 
-class FiniteSet:
+class _Record:
+    """A read-only value defined by its constructor arguments.
+
+    Each subclass names those arguments, in order, in ``_args`` and lists them
+    first in ``__slots__``; any further slot is derived from them.  Equality
+    (only with the same class), hashing, copying, pickling and repr all go by
+    ``_key()``, the values of ``_args``.
+    """
+
+    __slots__ = ()
+    _args: tuple[str, ...] = ()
+    __setattr__ = __delattr__ = _read_only
+
+    def _fill(self, *values) -> None:
+        """Set the slots, in ``__slots__`` order, once, in ``__init__``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._args])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._args, self._key()))
+        return f"{self.__class__.__name__}({fields})"
+
+
+class FiniteSet(_Record):
     """A named finite carrier with ordered, labelled elements."""
 
-    __slots__ = ("id", "elements", "_index")
-    __setattr__ = __delattr__ = _read_only
+    _args = ("id", "elements")
+    __slots__ = (*_args, "_index")
 
     def __init__(self, id: str, elements: tuple[str, ...]):
         if len(set(elements)) != len(elements):
@@ -53,23 +88,7 @@ class FiniteSet:
                 if lbl in seen:
                     raise DuplicateAssignment(lbl)
                 seen.add(lbl)
-        _init_slot(self, "id", id)
-        _init_slot(self, "elements", elements)
-        _init_slot(self, "_index", {l: i for i, l in enumerate(elements)})
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.id == other.id and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.elements))
-
-    def __repr__(self) -> str:
-        return f"FiniteSet(id={self.id!r}, elements={self.elements!r})"
-
-    def __reduce__(self):
-        return FiniteSet, (self.id, self.elements)
+        self._fill(id, elements, {l: i for i, l in enumerate(elements)})
 
     @property
     def cardinality(self) -> int:
@@ -85,21 +104,17 @@ class FiniteSet:
         return self.elements[i]
 
 
-class FinMap:
+class FinMap(_Record):
     """A total map between two finite sets, stored as a table of indices.
 
     Value equality ignores the name: two maps are equal iff their dom id,
     cod id and table coincide.
     """
 
-    __slots__ = ("name", "dom", "cod", "table")
-    __setattr__ = __delattr__ = _read_only
+    __slots__ = _args = ("name", "dom", "cod", "table")
 
     def __init__(self, name: str, dom: FiniteSet, cod: FiniteSet, table: tuple[int, ...]):
-        _init_slot(self, "name", name)
-        _init_slot(self, "dom", dom)
-        _init_slot(self, "cod", cod)
-        _init_slot(self, "table", table)
+        self._fill(name, dom, cod, table)
         self.__post_init__()
 
     def __post_init__(self):
@@ -132,40 +147,17 @@ class FinMap:
     def is_identity(self) -> bool:
         return self.is_endo() and all(v == i for i, v in enumerate(self.table))
 
-    def __repr__(self) -> str:
-        return (f"FinMap(name={self.name!r}, dom={self.dom!r}, cod={self.cod!r},"
-                f" table={self.table!r})")
 
-    def __reduce__(self):
-        return FinMap, (self.name, self.dom, self.cod, self.table)
-
-
-class Subset:
+class Subset(_Record):
     """A subset of a finite set, as a frozen set of element indices."""
 
-    __slots__ = ("of", "members")
-    __setattr__ = __delattr__ = _read_only
+    __slots__ = _args = ("of", "members")
 
     def __init__(self, of: FiniteSet, members: frozenset[int]):
         for i in members:
             if not 0 <= i < of.cardinality:
                 raise SubsetDomainMismatch(f"index {i} outside {of.id!r}")
-        _init_slot(self, "of", of)
-        _init_slot(self, "members", members)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.of == other.of and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash((self.of, self.members))
-
-    def __repr__(self) -> str:
-        return f"Subset(of={self.of!r}, members={self.members!r})"
-
-    def __reduce__(self):
-        return Subset, (self.of, self.members)
+        self._fill(of, members)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.of.label(i) for i in sorted(self.members))

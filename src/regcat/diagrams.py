@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .core import FinMap, FiniteSet, _init_slot, _read_only, compose, compose_path, tensor
+from .core import FinMap, FiniteSet, _Record, compose, compose_path, tensor
 from .errors import (
     BrokenPath,
     DuplicateName,
@@ -371,36 +371,21 @@ def obstruction_number(
 # --- regular 3-cycles ---------------------------------------------------------
 
 
-class RegularThreeCycle:
+class RegularThreeCycle(_Record):
     """A triple f: X->Y, g: Y->Z, h: Z->X with f∘h∘g∘f = f.
 
     Y is the first regular dual of X and Z the second; the obstructor is
     e = h∘g∘f.
     """
 
-    __slots__ = ("x", "y", "z", "f", "g", "h", "obstructor")
-    __setattr__ = __delattr__ = _read_only
+    _args = ("x", "y", "z", "f", "g", "h")
+    __slots__ = (*_args, "obstructor")
 
     def __init__(self, x: FiniteSet, y: FiniteSet, z: FiniteSet, f: FinMap, g: FinMap, h: FinMap):
         e = compose(h, compose(g, f))
         if compose(f, e) != f:
             raise NotRegular(f"({f.name},{g.name},{h.name})")
-        for name, value in zip(self.__slots__, (x, y, z, f, g, h, e)):
-            _init_slot(self, name, value)
-
-    def _key(self) -> tuple:
-        return self.x, self.y, self.z, self.f, self.g, self.h
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __reduce__(self):
-        return RegularThreeCycle, self._key()
+        self._fill(x, y, z, f, g, h, e)
 
 
 def find_regular_3cycles(

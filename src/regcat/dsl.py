@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .core import FinMap, FiniteSet, ProductSet, build_map
+from .core import FinMap, FiniteSet, ProductSet, _Record, build_map
 from .errors import (
     AssignedTwice,
     DslSyntaxError,
@@ -69,10 +69,10 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
-class Workspace:
+class Workspace(_Record):
     """The declarations of one workspace file, by kind and name."""
 
-    __slots__ = ("sets", "maps", "diagrams", "braidings")
+    __slots__ = _args = ("sets", "maps", "diagrams", "braidings")
 
     def __init__(
         self,
@@ -81,16 +81,7 @@ class Workspace:
         diagrams: Optional[dict[str, tuple[str, ...]]] = None,
         braidings: Optional[dict[str, Braiding]] = None,
     ):
-        self.sets = {} if sets is None else sets
-        self.maps = {} if maps is None else maps
-        self.diagrams = {} if diagrams is None else diagrams
-        self.braidings = {} if braidings is None else braidings
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.sets, self.maps, self.diagrams, self.braidings) == (
-            other.sets, other.maps, other.diagrams, other.braidings)
+        self._fill(*({} if d is None else d for d in (sets, maps, diagrams, braidings)))
 
     def require_set(self, name: str) -> FiniteSet:
         if name not in self.sets:

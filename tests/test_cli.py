@@ -246,6 +246,13 @@ class TestBraidCommands:
         )
         assert code == 0 and rep["counts"]["solutions"] > 0
 
+    @pytest.mark.parametrize("table, entries", [("0,1,0", 3), ("0", 1)])
+    def test_ybe_table_of_the_wrong_length_is_usage_error(self, capsys, table, entries):
+        code = main(["ybe", "--size", "2", "--mode", "regular", "--e", f"table:{table}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --e table has {entries} entries, expected 2\n"
+
     def test_ybe_bad_e_spec(self, capsys):
         code, _ = run(capsys, "ybe", "--size", "2", "--mode", "regular", "--e", "huh")
         assert code == 2
@@ -367,11 +374,14 @@ class TestTopLevel:
         assert out1 == out2
 
 
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=4)
     | st.floats(allow_nan=False, allow_infinity=False),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    _json_containers,
     max_leaves=8,
 )
 

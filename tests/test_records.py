@@ -2,14 +2,15 @@
 defaults, validation and the construction hook that the bench tracer counts."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
 
 from helpers import S, fm
-from regcat.braiding import Braiding, YbeProblem, braiding_from_table
+from regcat.braiding import Braiding, ObstructorAssignment, YbeProblem, braiding_from_table
 from regcat.cli import Report
-from regcat.core import FinMap, FiniteSet, ProductSet, Subset, compose, identity
+from regcat.core import FinMap, FiniteSet, ProductSet, Subset, _Record, compose, identity
 from regcat.diagrams import (
     CommutativityReport,
     ObstructionReport,
@@ -121,7 +122,11 @@ def test_records_survive_copy_and_pickle():
     t = fm("t", T, T, (0,))
     records = (X, fm("f", X, Y, (0, 2)), Subset(Y, frozenset({1})),
                braiding_from_table("B", X, X, (3, 2, 1, 0)),
-               RegularThreeCycle(T, T, T, t, t, t), YbeProblem(X, jobs=2))
+               RegularThreeCycle(T, T, T, t, t, t), YbeProblem(X, jobs=2),
+               ObstructorAssignment({"X": fm("e", X, X, (0, 0))}),
+               Report("c", {"k": [1]}, [{"w": 2}], {"n": 3}),
+               Workspace({"X": X}, {"f": fm("f", X, Y, (0, 2))}, {"D": ("f",)},
+                         {"B": braiding_from_table("B", X, X, (3, 2, 1, 0))}))
     for record in records:
         for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert clone == record and type(clone) is type(record)
@@ -143,3 +148,22 @@ def test_post_init_hook_runs_once_per_finmap(monkeypatch):
     compose(g, f)
     identity(X)
     assert calls == ["f", "g", "(g.f)", "id_X"]
+
+
+@pytest.mark.parametrize("record", sorted(_Record.__subclasses__(), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_record_args_are_the_constructor_parameters(record):
+    # equality, hashing, copying and repr go by _args, so none may be left out
+    params = list(inspect.signature(record.__init__).parameters)[1:]
+    assert list(record._args) == params
+    assert record.__slots__[:len(params)] == record._args
+
+
+def test_repr_spells_out_the_constructor_arguments():
+    A = FiniteSet("A", ("p", "q"))
+    assert repr(A) == "FiniteSet(id='A', elements=('p', 'q'))"
+    assert repr(FinMap("f", A, A, (1, 0))) == (
+        "FinMap(name='f', dom=FiniteSet(id='A', elements=('p', 'q')),"
+        " cod=FiniteSet(id='A', elements=('p', 'q')), table=(1, 0))")
+    assert repr(Subset(A, frozenset({1}))) == (
+        "Subset(of=FiniteSet(id='A', elements=('p', 'q')), members=frozenset({1}))")
