@@ -175,10 +175,8 @@ def find_chains(
     if n < 1:
         raise ValueError("chain order must be >= 1")
     X, Y = f.dom, f.cod
-    space = 1
-    for k in range(1, n + 1):
-        dom, cod = (Y, X) if k % 2 == 1 else (X, Y)
-        space *= map_space_size(dom, cod)
+    # odd levels map Y -> X, even levels X -> Y
+    space = map_space_size(Y, X) ** ((n + 1) // 2) * map_space_size(X, Y) ** (n // 2)
     if limit is None and space > max_space:
         raise SearchSpaceTooLarge(space, max_space, "candidate towers", "pass a limit to truncate")
 

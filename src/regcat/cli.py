@@ -511,6 +511,9 @@ def main(argv=None) -> int:
         where = f"{ns.file}: " if isinstance(exc, UnicodeDecodeError) else ""
         print(f"error: {where}{exc}", file=sys.stderr)
         return RESOURCE_ERROR if isinstance(exc, SearchSpaceTooLarge) else USAGE_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return RESOURCE_ERROR
     print(report.to_json() if ns.json else report.to_text())
     return report.exit_code
 

@@ -16,12 +16,12 @@ once per check.  From a start object the walk visits every simple path of
 up to a given length in preorder, composing each prefix once from its
 parent's table, on its own stack rather than one Python frame per edge.
 Preorder lists the paths of any one length in lexicographic order of their
-edge names, so checks order what they find by (length, base, path): the
-order of a search that walks each length in turn.  A check that only needs
-the first violation cuts the walk to shorter paths once it has one.
-Absorption f∘e = f is decided once per base and obstructor table, since a
-diagram's many cycles share few obstructors.  A walk that composes more path
-prefixes than its bound raises ``SearchSpaceTooLarge``.
+edge names, so a stable sort by length alone orders what the checks find by
+(length, base, path): the order of a search that walks each length in turn.
+A check that only needs the first violation cuts the walk to shorter paths
+once it has one.  Absorption f∘e = f is decided once per base and obstructor
+table, since a diagram's many cycles share few obstructors.  A walk that
+composes more path prefixes than its bound raises ``SearchSpaceTooLarge``.
 """
 
 from __future__ import annotations
@@ -161,13 +161,12 @@ class _Walk:
                 yield path, e
 
 
-def _levels(walk: _Walk, bases: Iterable[str], depth: int) -> list[list[tuple[Cycle, tuple[int, ...]]]]:
-    """Cycles of 1..depth edges at the bases with their obstructors, indexed by length."""
-    levels: list[list[tuple[Cycle, tuple[int, ...]]]] = [[] for _ in range(depth + 1)]
-    for base in bases:
-        for path, e in walk.cycles_at(base, depth):
-            levels[len(path)].append((Cycle(base, tuple(path)), e))
-    return levels
+def _cycles(walk: _Walk, bases: Iterable[str], depth: int) -> list[tuple[Cycle, tuple[int, ...]]]:
+    """Cycles of 1..depth edges at the bases with their obstructors, by (length, base, path)."""
+    found = [(Cycle(base, tuple(path)), e)
+             for base in bases for path, e in walk.cycles_at(base, depth)]
+    found.sort(key=lambda ce: ce[0].length)
+    return found
 
 
 def _first_failures(
@@ -196,7 +195,7 @@ def _first_failures(
         # A path is kept as a (last edge, parent) link, O(1) to record: in
         # preorder the parent of a path is the latest path one edge shorter.
         # Only the paths that may be reported are spelled out as tuples.
-        links: list = [None] * (span + 1)
+        links: list = [None]
         # end -> [first path, its length, its composite, (length, link) of the first to disagree]
         seen: dict[str, list] = {}
         for path, end, table in walk.paths_from(base, max(reach, span), None if span else base):
@@ -208,7 +207,8 @@ def _first_failures(
                     walk.depth = max(reach, span)
             if n > span:
                 continue
-            links[n] = link = (path[-1], links[n - 1])
+            link = (path[-1], links[n - 1])
+            links[n:] = [link]
             first = seen.get(end)
             if first is None:
                 seen[end] = [link, n, table, None]
@@ -243,16 +243,15 @@ def cycles_at(d: Diagram, base: str, length: int) -> Iterator[Cycle]:
     """Simple cycles of exactly the given length based at an object."""
     if base not in d.objects:
         raise UnknownObject(base)
-    for path, _ in _Walk(d).cycles_at(base, length):
-        if len(path) == length:
-            yield Cycle(base, tuple(path))
+    for c, _ in _cycles(_Walk(d), [base], length):
+        if c.length == length:
+            yield c
 
 
 def all_cycles(d: Diagram, max_len: int) -> Iterator[Cycle]:
     """Simple cycles of 1..max_len edges by (length, base, path)."""
-    for level in _levels(_Walk(d), sorted(d.objects), max_len):
-        for c, _ in level:
-            yield c
+    for c, _ in _cycles(_Walk(d), sorted(d.objects), max_len):
+        yield c
 
 
 class ObstructorReport(NamedTuple):
@@ -331,7 +330,7 @@ def is_semicommutative(
     worked out once per pair.
     """
     walk = _Walk(d, max_space)
-    levels: list[list[tuple]] = [[] for _ in range(max_len + 1)]
+    violations: list[tuple] = []
     failing: dict[tuple[str, tuple[int, ...]], list[str]] = {}
     for base in sorted(d.objects):
         for path, e in walk.cycles_at(base, max_len):
@@ -343,9 +342,9 @@ def is_semicommutative(
                 ]
             if bad:
                 c = Cycle(base, tuple(path))
-                levels[len(path)].extend(("absorption", c, name) for name in bad)
-    violations = tuple(v for level in levels for v in level)
-    return SemicommutativityReport(not violations, violations, walk.paths, walk.cycles)
+                violations.extend(("absorption", c, name) for name in bad)
+    violations.sort(key=lambda v: v[1].length)
+    return SemicommutativityReport(not violations, tuple(violations), walk.paths, walk.cycles)
 
 
 class ObstructionReport(NamedTuple):
@@ -400,11 +399,7 @@ def find_regular_3cycles(
     own base, so each class is found whole.
     """
     walk = _Walk(d, max_space)
-    closed: dict[tuple[str, ...], tuple[int, ...]] = {}
-    for base in sorted(d.objects):
-        for path, e in walk.cycles_at(base, 3):
-            if len(path) == 3:
-                closed[tuple(path)] = e
+    closed = {c.edges: e for c, e in _cycles(walk, sorted(d.objects), 3) if c.length == 3}
     out = []
     for t in sorted(closed):
         rots = sorted([t, (t[1], t[2], t[0]), (t[2], t[0], t[1])])
@@ -499,29 +494,25 @@ def check_regular_functor(
                 ib = image[b]
                 if tuple([ib[v] for v in image[a]]) != image[c]:
                     violations.append(("composition", a, b, c))
-    comp_ok = not violations
+    composition = len(violations)  # the violations after these break obstructor preservation
 
-    e_ok = True
     for name in names:
-        m = src.edges[name]
-        if m.is_identity() and not tgt.edges[fd.edge_map[name]].is_identity():
-            e_ok = False
+        if src.edges[name].is_identity() and not tgt.edges[fd.edge_map[name]].is_identity():
             violations.append(("identity", name))
-    levels: list[list[tuple]] = [[] for _ in range(n + 1)]
-    tgt_levels: dict[str, list] = {}
+    obstructed: list[tuple] = []
+    by_length: dict[str, dict[int, list]] = {}  # target base -> length -> its cycles
     for base in sorted(src.objects):
         tgt_base = fd.object_map[base]
-        if tgt_base not in tgt_levels:
-            tgt_levels[tgt_base] = _levels(tgt_walk, [tgt_base], n)
-        for length, cycles in enumerate(_levels(src_walk, [base], n)):
-            targets = tgt_levels[tgt_base][length]
-            if length < 2 or not targets:
+        if tgt_base not in by_length:
+            by_length[tgt_base] = {}
+            for c2, e in _cycles(tgt_walk, [tgt_base], n):
+                by_length[tgt_base].setdefault(c2.length, []).append((c2, e))
+        for c, _ in _cycles(src_walk, [base], n):
+            targets = by_length[tgt_base].get(c.length)
+            if c.length < 2 or not targets:
                 continue
-            for c, _ in cycles:
-                p = path_compose(tgt, [fd.edge_map[name] for name in c.edges]).table
-                levels[length].extend(("obstructor", c, c2) for c2, e in targets if e != p)
-    obstructed = [v for level in levels for v in level]
-    if obstructed:
-        e_ok = False
-        violations.extend(obstructed)
-    return FunctorReport(comp_ok, e_ok, tuple(violations))
+            p = path_compose(tgt, [fd.edge_map[name] for name in c.edges]).table
+            obstructed.extend(("obstructor", c, c2) for c2, e in targets if e != p)
+    obstructed.sort(key=lambda v: v[1].length)
+    violations.extend(obstructed)
+    return FunctorReport(not composition, len(violations) == composition, tuple(violations))

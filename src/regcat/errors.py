@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all regcat modules."""
 
+from math import log10
+
 
 class RegcatError(Exception):
     """Base class for every error raised by regcat."""
@@ -46,7 +48,11 @@ class SearchSpaceTooLarge(RegcatError):
     def __init__(self, size, bound, unit, hint=None):
         self.size = size
         self.bound = bound
-        msg = f"search space of {size} {unit} exceeds the bound {bound}"
+        try:
+            shown = str(size)
+        except ValueError:  # too many digits to print: show a power of ten at most 2^(bits-1)
+            shown = f"at least 10^{int((size.bit_length() - 1) * log10(2))}"
+        msg = f"search space of {shown} {unit} exceeds the bound {bound}"
         super().__init__(f"{msg}; {hint}" if hint else msg)
 
 

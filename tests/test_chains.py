@@ -159,6 +159,23 @@ class TestFindChains:
         with pytest.raises(SearchSpaceTooLarge):
             find_chains(F, 3, max_space=100)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_space_is_the_product_of_the_level_spaces(self, n):
+        # odd levels map Y -> X (3^2 maps), even levels X -> Y (2^3 maps)
+        space = 1
+        for k in range(1, n + 1):
+            space *= 9 if k % 2 == 1 else 8
+        with pytest.raises(SearchSpaceTooLarge) as info:
+            find_chains(F, n, max_space=space - 1)
+        assert info.value.size == space
+        assert find_chains(F, n, limit=0, max_space=space - 1).chains == []
+
+    def test_space_of_a_deep_tower_is_not_multiplied_level_by_level(self):
+        t = time.perf_counter()
+        with pytest.raises(SearchSpaceTooLarge):
+            find_chains(F, 10**6)
+        assert time.perf_counter() - t < 1.0
+
     def test_lexicographic_order(self):
         keys = [
             tuple(t for s in c.stars for t in s.table)

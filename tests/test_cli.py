@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regcat import cli
 from regcat.cli import Report, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -203,6 +204,20 @@ class TestDiagramCommands:
                              "--mode", "commutative", "--max-len", str(n))
         assert code == 0 and rep["result"]["verdict"]
         assert rep["counts"] == {"paths": n * n, "cycles": n}
+
+    @pytest.mark.parametrize("argv, code", [
+        (("diagram", TRIANGLE, "--name", "D", "--mode", "semicommutative", "--max-len"), 0),
+        (("diagram", TRIANGLE, "--name", "D", "--mode", "commutative", "--max-len"), 1),
+        (("obstruction", TRIANGLE, "--name", "D", "--object", "X", "--max-n"), 0),
+        (("functor", TRIANGLE, "--from", "D", "--to", "D", "--objects", "X=X,Y=Y,Z=Z",
+          "--maps", "f=f,g=g,h=h", "--n"), 0),
+    ])
+    def test_a_huge_length_bound_costs_nothing_by_itself(self, capsys, argv, code):
+        # the triangle's paths have at most 3 edges, whatever the bound on their length
+        start = time.perf_counter()
+        assert main([*argv, "1000000000"]) == code
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == ""
 
     def test_functor_identity(self, capsys):
         code, rep = run_json(
@@ -432,6 +447,33 @@ class TestExitCodes:
     def test_bound_names_what_it_counts(self, argv, counted, capsys):
         assert main(list(argv)) == 3
         assert capsys.readouterr() == ("", f"error: search space of {counted}")
+
+    @pytest.mark.parametrize("argv, shown", [
+        # 72^10000 candidate towers
+        (("chain", MAPS, "--map", "f", "--n", "20000", "--search"), "at least 10^18573"),
+        # 2^16000 candidate maps, one per map from the 16,000-element codomain
+        (("inverses", "<wide>", "--map", "f", "--kind", "inner"), "at least 10^4816"),
+        (("inverses", "<wide>", "--map", "f", "--kind", "generalized"), "at least 10^4816"),
+    ])
+    def test_a_space_too_large_to_print_is_shown_as_a_power_of_ten(
+        self, argv, shown, tmp_path, capsys
+    ):
+        wide = tmp_path / "wide.rcw"
+        codomain = ", ".join(f"b{i}" for i in range(16_000))
+        wide.write_text(f"set A = {{ a0, a1 }}\nset B = {{ {codomain} }}\n"
+                        "map f : A -> B { a0 -> b0, a1 -> b1 }\n")
+        assert main([str(wide) if a == "<wide>" else a for a in argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"error: search space of {shown} ")
+
+    def test_out_of_memory_is_a_resource_error(self, monkeypatch, capsys):
+        def exhausted(ws, ns):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.HANDLERS, "check-map", exhausted)
+        assert main(["check-map", MAPS, "--map", "f"]) == 3
+        assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 # argv for main(): every subcommand with its flags, the three fixtures, names

@@ -339,6 +339,25 @@ class TestWalk:
         assert rep.commutative and rep.paths == 300 * 300
         assert peak < 300_000
 
+    @pytest.mark.parametrize("check", [
+        is_semicommutative,
+        is_commutative,
+        lambda d, bound: list(all_cycles(d, bound)),
+        lambda d, bound: check_regular_functor(
+            FunctorData(d, d, {o: o for o in d.objects}, {e: e for e in d.edges}), bound),
+    ], ids=["semicommutative", "commutative", "all_cycles", "functor"])
+    def test_a_large_bound_costs_nothing_by_itself(self, check):
+        # the triangle's longest simple path has 3 edges, so a bound of 10⁶
+        # reads the same paths as a bound of 3 and keeps nothing per length
+        tracemalloc.start()
+        try:
+            got = check(TRI, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == check(TRI, 3)
+        assert peak < 1_000_000
+
     def test_ring_3cycles_and_composition_are_not_quadratic(self):
         # the ring has no 3-cycle and no edge that is a composite: a sweep of
         # all pairs of its 3,000 edges takes seconds, a walk milliseconds
