@@ -24,7 +24,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 from itertools import chain, groupby, islice, permutations, product
 from math import factorial, prod
-from multiprocessing import Pool
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .core import FinMap, FiniteSet, ProductSet, _Record, compose, identity
@@ -565,6 +564,13 @@ def require_root_budget(s: int, max_nodes: int) -> None:
     roots = max(s * s, 1)
     if roots > max_nodes:
         raise SearchSpaceTooLarge(roots, max_nodes, "candidate tables")
+
+
+def Pool(processes: int):
+    """A ``multiprocessing`` pool; the module is imported only by a solve that forks."""
+    import multiprocessing
+
+    return multiprocessing.Pool(processes)
 
 
 def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:

@@ -16,6 +16,7 @@ makes the level-by-level construction in ``find_chains`` sound.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator, NamedTuple, Optional
 
 from .core import FinMap, all_maps, compose, compose_path, fibre_columns, map_space_size
@@ -155,6 +156,56 @@ def _next_stars(f: FinMap, stars: list[FinMap], c: Optional[FinMap]) -> Iterator
     return all_maps(f.dom, f.cod, prefix, columns=fibre_columns(c, stars[0].table))
 
 
+def _power_bit_length(base: int, exp: int, factor: int) -> int:
+    """The bit length of ``factor * base**exp``, without building the power.
+
+    The power is bracketed by a lower and an upper bound with a mantissa of
+    ``exp.bit_length() + 64`` bits, rounded down and up after each step of
+    square-and-multiply. The product is built only if the bounds' bit
+    lengths differ, which needs it within a relative 2^-60 or so of a power
+    of two.
+    """
+    width = exp.bit_length() + 64
+    lo = hi = 1
+    shift = 0  # lo << shift <= base**e <= hi << shift, e the bits of exp read so far
+    for bit in bin(exp)[2:]:
+        lo, hi, shift = lo * lo, hi * hi, 2 * shift
+        if bit == "1":
+            lo, hi = lo * base, hi * base
+        drop = max(lo.bit_length() - width, 0)
+        lo, hi, shift = lo >> drop, -(-hi >> drop), shift + drop
+    lo, hi = (lo * factor).bit_length(), (hi * factor).bit_length()
+    if lo != hi:
+        return (base**exp * factor).bit_length()
+    return lo + shift if lo else 0  # a zero factor makes the product 0
+
+
+def _refuse_large_tower_space(f: FinMap, n: int, max_space: int) -> None:
+    """Raise SearchSpaceTooLarge if the n levels' map spaces multiply past max_space.
+
+    The product is compared by its bit length, and built only when that
+    does not decide or when the product is printable: at n = 10^7 it has
+    about 3·10^7 bits for a 3 -> 2 map, and building it took seconds.
+    """
+    # odd levels map Y -> X, even levels X -> Y: (|X|^|Y| * |Y|^|X|)^(n//2), times
+    # one more |X|^|Y| at odd n
+    odd, even = map_space_size(f.cod, f.dom), map_space_size(f.dom, f.cod)
+    base, exp, factor = odd * even, n // 2, odd ** (n % 2)
+    bits = _power_bit_length(base, exp, factor)
+    if bits < max_space.bit_length():
+        return
+    # str() refuses an int of more digits than this; 0, or a Python without the
+    # limit, prints any int
+    max_digits = getattr(sys, "get_int_max_str_digits", int)()
+    if bits > max_space.bit_length() and 0 < max_digits < (bits - 1) // 4:
+        # space >= 2^(bits-1) >= 16^((bits-1)//4) > 10^max_digits: too long to print
+        raise SearchSpaceTooLarge(None, max_space, "candidate towers", "pass a limit to truncate",
+                                  bits=bits)
+    space = base**exp * factor
+    if space > max_space:
+        raise SearchSpaceTooLarge(space, max_space, "candidate towers", "pass a limit to truncate")
+
+
 def find_chains(
     f: FinMap,
     n: int,
@@ -174,11 +225,8 @@ def find_chains(
     """
     if n < 1:
         raise ValueError("chain order must be >= 1")
-    X, Y = f.dom, f.cod
-    # odd levels map Y -> X, even levels X -> Y
-    space = map_space_size(Y, X) ** ((n + 1) // 2) * map_space_size(X, Y) ** (n // 2)
-    if limit is None and space > max_space:
-        raise SearchSpaceTooLarge(space, max_space, "candidate towers", "pass a limit to truncate")
+    if limit is None:
+        _refuse_large_tower_space(f, n, max_space)
 
     stop = None if limit is None else limit + 1
     found: list[StarChain] = []

@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Optional, Sequence
 
 # chains, diagrams and braiding are imported by the handlers that run them,
@@ -26,8 +27,69 @@ if TYPE_CHECKING:
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 
-# the witnesses' sort key: json.dumps(w, sort_keys=True) without a new encoder per call
-_witness_key = json.JSONEncoder(sort_keys=True).encode
+# json.dumps(w, sort_keys=True) from one C encoder, made once rather than per witness
+_sorted_json = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", ", ", True, False, True
+)
+
+
+def _witness_key(w) -> str:
+    return "".join(_sorted_json(w, 0))
+
+
+_CONTAINERS = (list, tuple, dict)
+
+
+def _json_key(k) -> str:
+    """A dict key as json writes it: a str as itself, an int, float, bool or None as its text."""
+    if not isinstance(k, (str, int, float)) and k is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+
+
+def _indented_json(value) -> str:
+    """``json.dumps(value, indent=2)``, written level by level without recursion.
+
+    The non-empty containers are collected a level at a time, in output
+    order. The deepest level is written first, and each container takes its
+    children's texts, in order, from the level below. Strings and ints are
+    written here; other scalars go to ``json.dumps``, which with ``indent``
+    set would run its pure-Python encoder over the whole value.
+    """
+    levels = []
+    level = [value] if isinstance(value, _CONTAINERS) and value else []
+    while level:
+        levels.append(level)
+        level = [v for c in level for v in (c.values() if isinstance(c, dict) else c)
+                 if isinstance(v, _CONTAINERS) and v]
+    below = iter(())
+    enc = encode_basestring_ascii
+
+    def text(v) -> str:
+        if v.__class__ is str:
+            return enc(v)
+        if v.__class__ is int:
+            return int.__repr__(v)
+        if isinstance(v, _CONTAINERS):
+            return next(below) if v else "{}" if isinstance(v, dict) else "[]"
+        return json.dumps(v)
+
+    for depth in reversed(range(len(levels))):
+        inner = "\n" + "  " * (depth + 1)
+        sep, close = "," + inner, "\n" + "  " * depth
+        # strings, most of a report's scalars, are encoded without a call to text
+        below = iter([
+            "{" + inner + sep.join([
+                f"{enc(k) if k.__class__ is str else _json_key(k)}: "
+                f"{enc(v) if v.__class__ is str else text(v)}"
+                for k, v in c.items()
+            ]) + close + "}"
+            if isinstance(c, dict) else
+            "[" + inner + sep.join([enc(v) if v.__class__ is str else text(v) for v in c])
+            + close + "]"
+            for c in levels[depth]
+        ])
+    return text(value)
 
 
 class Report(_Record):
@@ -61,7 +123,7 @@ class Report(_Record):
             "witnesses": sorted(self.witnesses, key=_witness_key),
             "counts": self.counts,
         }
-        return json.dumps(payload, indent=2)
+        return _indented_json(payload)
 
     def to_text(self) -> str:
         lines = [f"{self.command}: {'ok' if self.ok else 'FAIL'}"]

@@ -43,15 +43,22 @@ class SubsetDomainMismatch(RegcatError):
 
 
 class SearchSpaceTooLarge(RegcatError):
-    """A search would exceed its bound; ``unit`` names what ``size`` counts."""
+    """A search would exceed its bound; ``unit`` names what ``size`` counts.
 
-    def __init__(self, size, bound, unit, hint=None):
+    A space too large to print may come as its bit length ``bits`` alone,
+    with ``size`` None.
+    """
+
+    def __init__(self, size, bound, unit, hint=None, bits=None):
         self.size = size
         self.bound = bound
-        try:
-            shown = str(size)
-        except ValueError:  # too many digits to print: show a power of ten at most 2^(bits-1)
-            shown = f"at least 10^{int((size.bit_length() - 1) * log10(2))}"
+        if bits is None:
+            try:
+                shown = str(size)
+            except ValueError:  # too many digits to print
+                bits = size.bit_length()
+        if bits is not None:  # a power of ten at most 2^(bits-1)
+            shown = f"at least 10^{int((bits - 1) * log10(2))}"
         msg = f"search space of {shown} {unit} exceeds the bound {bound}"
         super().__init__(f"{msg}; {hint}" if hint else msg)
 

@@ -14,6 +14,7 @@ from helpers import (
     naive_closes,
     sizes_upto,
 )
+from regcat import chains
 from regcat.chains import (
     StarChain,
     chain_obstructor,
@@ -175,6 +176,41 @@ class TestFindChains:
         with pytest.raises(SearchSpaceTooLarge):
             find_chains(F, 10**6)
         assert time.perf_counter() - t < 1.0
+
+    def test_a_space_too_long_to_print_is_refused_by_its_bit_length(self):
+        # 72^(5·10^6) has 30,852,901 bits; building it took seconds
+        t = time.perf_counter()
+        with pytest.raises(SearchSpaceTooLarge) as info:
+            find_chains(F, 10**7)
+        assert time.perf_counter() - t < 0.5
+        assert info.value.size is None
+        assert str(info.value) == (
+            "search space of at least 10^9286662 candidate towers exceeds the bound 100000000; "
+            "pass a limit to truncate"
+        )
+
+    # the space has 4,300 digits, the most str() prints, at n = 4630
+    @pytest.mark.parametrize("n", [4000, 4629, 4630, 4631, 4632, 6000, 20000])
+    def test_a_space_near_the_print_limit_is_shown_as_its_exact_value_would_be(self, n):
+        space = 9 ** ((n + 1) // 2) * 8 ** (n // 2)
+        with pytest.raises(SearchSpaceTooLarge) as info:
+            find_chains(F, n, max_space=10**8)
+        shown = SearchSpaceTooLarge(space, 10**8, "candidate towers", "pass a limit to truncate")
+        assert str(info.value) == str(shown)
+
+    def test_a_limit_skips_the_space(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the space was sized")
+
+        monkeypatch.setattr(chains, "map_space_size", unreachable)
+        assert len(find_chains(F, 3, limit=2, max_space=0).chains) == 2
+
+    @pytest.mark.parametrize("base, exp, factor", [
+        (72, 5 * 10**5, 9), (72, 5 * 10**5, 1), (16, 10**5, 1), (16, 10**5, 9), (0, 7, 9),
+        (5, 0, 3), (9, 3, 0), (2**64 - 1, 999, 1), (2**64 + 1, 999, 1), (3**40, 777, 5**30),
+    ])
+    def test_power_bit_length_is_exact(self, base, exp, factor):
+        assert chains._power_bit_length(base, exp, factor) == (base**exp * factor).bit_length()
 
     def test_lexicographic_order(self):
         keys = [

@@ -1,7 +1,10 @@
 import io
 import json
 import re
+import shlex
+import sys
 import time
+import traceback
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -407,6 +410,118 @@ def test_witnesses_sort_by_their_sorted_json(witnesses):
     # the report's shared encoder orders them as json.dumps(w, sort_keys=True) does
     listed = json.loads(Report("c", {}, witnesses).to_json())["witnesses"]
     assert listed == sorted(witnesses, key=lambda w: json.dumps(w, sort_keys=True))
+
+
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, "\u00e9\U0001f600",
+                       "\x00\x1f\"\\\n\u2028"])
+)
+# json turns an int, float, bool or None key into text
+ANY_KEYS = st.text(max_size=3) | st.integers() | st.booleans() | st.none() | st.floats()
+
+
+def _containers_with(keys):
+    def extend(inner):
+        lists = st.lists(inner, max_size=3)
+        return lists | lists.map(tuple) | st.dictionaries(keys, inner, max_size=3)
+
+    return extend
+
+
+def _values(keys):
+    return st.recursive(SCALARS, _containers_with(keys), max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(ANY_KEYS, _values(ANY_KEYS), max_size=4),
+    # sort_keys needs keys of one type, so the witnesses' keys are str
+    st.lists(st.dictionaries(st.text(max_size=3), _values(st.text(max_size=3)), max_size=3),
+             max_size=6),
+    st.dictionaries(ANY_KEYS, _values(ANY_KEYS), max_size=2),
+)
+def test_json_report_is_the_indented_dump(result, witnesses, counts):
+    payload = {
+        "command": "c",
+        "ok": not witnesses,
+        "result": result,
+        "witnesses": sorted(witnesses, key=lambda w: json.dumps(w, sort_keys=True)),
+        "counts": counts,
+    }
+    assert Report("c", result, witnesses, counts).to_json() == json.dumps(payload, indent=2)
+
+
+@given(_values(ANY_KEYS))
+def test_any_value_is_written_as_the_indented_dump(value):
+    assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("key", [(1, 2), b"k", frozenset()])
+def test_a_key_json_cannot_write_is_refused_as_json_refuses_it(key):
+    with pytest.raises(TypeError) as want:
+        json.dumps({key: 1}, indent=2)
+    with pytest.raises(TypeError) as got:
+        Report("c", {key: 1}).to_json()
+    assert str(got.value) == str(want.value)
+
+
+def test_deep_nesting_needs_no_recursion():
+    value = 0
+    for i in range(300):
+        value = {"k": value} if i % 2 else [value, []]
+    want = json.dumps({"command": "c", "ok": True, "result": {"deep": value},
+                       "witnesses": [], "counts": {}}, indent=2)
+    # 100 frames above this one: too few for a writer that recurses per level
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(traceback.extract_stack()) + 100)
+    try:
+        out = Report("c", {"deep": value}).to_json()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == want
+
+
+README_FIXTURE_COMMANDS = [
+    shlex.split(line)[1:]
+    for line in (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    .replace("\\\n", "").splitlines()
+    if line.startswith("regcat ") and "fixtures/" in line
+]
+
+
+@pytest.mark.parametrize("argv", README_FIXTURE_COMMANDS, ids=" ".join)
+def test_readme_commands_print_the_indented_dump_of_their_report(argv, monkeypatch, capsys):
+    monkeypatch.chdir(FIXTURES.parent)
+    main([*argv, "--json"])
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_readme_lists_the_fixture_commands():
+    assert {argv[0] for argv in README_FIXTURE_COMMANDS} == set(cli.SUBCOMMANDS) - {"ybe"}
+
+
+def test_a_large_report_is_written_without_the_encoder_chunks():
+    # 10,000 witnesses of the shape a semicommutative check finds, about 2 MB
+    # of JSON: on Python 3.11 json.dumps(indent=2) peaks at 15.5 MB, since it
+    # joins a list of every chunk, and the writer at 6.9 MB
+    witnesses = [
+        {"kind": "absorption",
+         "cycle": {"base": f"R{i % 40}",
+                   "edges": [f"e{(7 * i + j) % 300}" for j in range(1 + i % 6)]},
+         "edge": f"e{i % 300}"}
+        for i in range(10_000)
+    ]
+    report = Report("diagram", {"verdict": False}, witnesses, {"paths": 1})
+    tracemalloc.start()
+    try:
+        out = report.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out == json.dumps(json.loads(out), indent=2)
+    assert peak < 10_000_000
 
 
 NOT_UTF8 = "<a workspace file that is not UTF-8>"

@@ -114,3 +114,22 @@ def test_no_recursion():
     nested = "def f(n):\n    def g():\n        return g()\n    return f(n)\n"
     assert self_calls(nested) == ["f", "f.g"]
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def indented_dumps(source: str) -> list[int]:
+    """Lines that call ``dumps`` (``json.dumps`` or a bare import) with an ``indent``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+        and any(k.arg == "indent" for k in node.keywords)
+    ]
+
+
+def test_every_report_goes_through_the_one_writer():
+    # json.dumps runs its pure-Python encoder whenever indent is set
+    assert indented_dumps("import json\nx = 1\njson.dumps(x, indent=2)\ndumps(x, indent=None)\n"
+                          "json.dumps(x)\n") == [3, 4]
+    found = {p.name: indented_dumps(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
