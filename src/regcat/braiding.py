@@ -13,10 +13,14 @@ of any triple is determined on both sides and unequal.
 
 A permutation σ of X acts on tables by (σ·B)(σx, σy) = (σa, σb) where
 B(x, y) = (a, b), and B solves the equation for e exactly when σ·B solves it
-for σ∘e∘σ⁻¹.  So the search for one e visits only the lex-least table of each
-orbit of Stab(e) = {σ : σ∘e = e∘σ} and counts or lists the whole orbit, and
-under ``--e all`` it solves one e per conjugacy class and carries the
-solutions over to the other members.
+for σ∘e∘σ⁻¹.  The mirror τ·B = τ∘B∘τ, τ(x, y) = (y, x) swapping the factors,
+solves it for the same e: with ρ(x, y, z) = (z, y, x), ρ∘(e⊗B)∘ρ = (τ·B)⊗e
+and ρ∘(B⊗e)∘ρ = e⊗(τ·B), so ρ carries each side of the equation for B to the
+other side of the one for τ·B.  τ commutes with every σ⊗σ, so the search for
+one e visits only the lex-least table of each orbit of Stab(e) × ⟨τ⟩,
+Stab(e) = {σ : σ∘e = e∘σ}, and counts or lists the whole orbit; under
+``--e all`` it solves one e per conjugacy class and carries the solutions
+over to the other members.
 """
 
 from __future__ import annotations
@@ -318,10 +322,20 @@ def _conjugator(blocks, images) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def _on_pairs(sigma) -> list[int]:
+def _on_pairs(sigma) -> tuple[int, ...]:
     """σ⊗σ on the row-major indices s*x + y of X⊗X."""
     s = len(sigma)
-    return [s * a + b for a in sigma for b in sigma]
+    return tuple(s * a + b for a in sigma for b in sigma)
+
+
+def _search_group(stabilizer) -> list[tuple[int, ...]]:
+    """The group the search cuts by, on the row-major indices s*x + y: σ⊗σ
+    and τ∘(σ⊗σ) for each σ in ``stabilizer``, τ(s*x + y) = s*y + x swapping
+    the factors.  Each permutation comes once, so at s = 1, where τ is the
+    identity, the group has one element; at s ≥ 2 it has 2·|stabilizer|."""
+    s = len(stabilizer[0])
+    swapped = (tuple(s * b + a for a in sigma for b in sigma) for sigma in stabilizer)
+    return list(dict.fromkeys(chain(map(_on_pairs, stabilizer), swapped)))
 
 
 def _act(pairs, table) -> tuple[int, ...]:
@@ -480,17 +494,19 @@ def _solve_branch(args):
     stop on the left before reading pos, and ``_reading`` drops the triples
     of the prefix that stop on the right at an entry past pos.
 
-    ``group`` is a group of permutations commuting with e.  A table that
-    passes is cut when some σ·T is lex-smaller (``_undecided``), so each leaf
-    is the lex-least member of its orbit, and the leaf stands for the whole
-    orbit: |group| / |Stab(T)| solutions, listed in no particular order.
-    With the trivial group this is the full search.
+    ``group`` is a group of permutations π of the pair indices, each a
+    tuple, that carry solutions for e to solutions for e under
+    (π·T)[π(q)] = π(T[q]): ``_search_group`` builds Stab(e) × ⟨τ⟩.  A table
+    that passes is cut when some π·T is lex-smaller (``_undecided``), so each
+    leaf is the lex-least member of its orbit, and the leaf stands for the
+    whole orbit: |group| / |Stab(T)| solutions, listed in no particular
+    order.  With the trivial group this is the full search.
     """
     s, e, group, first, bijective, count_only, budget = args
     n2 = s * s
     lookups = _lookups(s, e)
     lex: list[tuple[int, int, int, int]] = []
-    acting = [_on_pairs(sigma) for sigma in group if sigma != tuple(range(s))]
+    acting = [pairs for pairs in group if pairs != tuple(range(n2))]
     table = [-1] * n2
     used = [False] * n2
     found = 0 if count_only else []
@@ -577,8 +593,9 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
     """Exhaustive pruned search for YBE solutions on a single carrier.
 
     Candidate braidings are enumerated table-entry by table-entry in
-    lexicographic order, one lex-least table per orbit of the obstructor's
-    stabilizer when it has at most s² elements; output is ordered
+    lexicographic order, one lex-least table per orbit of Stab(e) × ⟨τ⟩, the
+    obstructor's stabilizer and the factor swap, the stabilizer counting only
+    when it has at most s² elements (otherwise the group is ⟨τ⟩); output is ordered
     lexicographically in (e, B) and is identical regardless of the worker
     count, and so are the work counters.  Under ``e_spec="all"`` only the
     lex-least idempotent of each conjugacy class is searched; classical mode
@@ -625,7 +642,7 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
             blocks = _blocks(e.table)
             sizes = tuple(map(len, blocks))
             if sizes not in solved:
-                group = _stabilizer(e.table, s * s)
+                group = _search_group(_stabilizer(e.table, s * s))
                 tasks = (
                     (s, e.table, group, first, problem.require_bijective,
                      problem.count_only, problem.max_nodes)

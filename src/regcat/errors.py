@@ -1,7 +1,5 @@
 """Exception hierarchy shared by all regcat modules."""
 
-from math import log10
-
 
 class RegcatError(Exception):
     """Base class for every error raised by regcat."""
@@ -58,9 +56,30 @@ class SearchSpaceTooLarge(RegcatError):
             except ValueError:  # too many digits to print
                 bits = size.bit_length()
         if bits is not None:  # a power of ten at most 2^(bits-1)
-            shown = f"at least 10^{int((bits - 1) * log10(2))}"
+            shown = f"at least 10^{_floor_log10_pow2(bits - 1)}"
         msg = f"search space of {shown} {unit} exceeds the bound {bound}"
         super().__init__(f"{msg}; {hint}" if hint else msg)
+
+
+def _floor_log10_pow2(n: int) -> int:
+    """floor(n·log₁₀2), the largest k with 10^k <= 2^n, exactly for any n >= 0.
+
+    With log₁₀2 to ``digits`` places, n·log₁₀2 is known within n·10^-digits;
+    more places are taken until both ends of that interval have one floor.
+    """
+    from decimal import Decimal, localcontext  # 9 ms to import; only a refusal needs it
+
+    digits = len(str(n)) + 10
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = digits
+            log2 = Decimal(2).log10()  # correctly rounded
+            ctx.prec = 2 * digits + 2  # n·log2 and its error bound, exactly
+            mid, err = n * log2, n * Decimal(10) ** -digits
+            low, high = int(mid - err), int(mid + err)
+        if low == high:
+            return low
+        digits *= 2
 
 
 class NoInverseExists(RegcatError):

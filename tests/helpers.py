@@ -283,12 +283,21 @@ def full_ybe_search(s, e, bijective=False, count_only=False):
     """The YBE search without symmetry reduction: the solver's kernel with the
     trivial group, summed over every first entry.  Returns (found, nodes,
     triples), found being the count or the solution tables in lex order."""
+    return kernel_ybe_search(s, e, [tuple(range(s))], bijective, count_only)
+
+
+def kernel_ybe_search(s, e, sigmas, bijective=False, count_only=False):
+    """The solver's kernel with the group {σ⊗σ : σ in sigmas} on the pair
+    indices, without the factor swap, summed over every first entry; sigmas
+    must be a group of permutations commuting with e.  Returns what
+    full_ybe_search does; a listing comes in lex order."""
+    group = tuple({tuple(s * a + b for a in sigma for b in sigma) for sigma in sigmas})
     found, nodes, triples = (0 if count_only else []), 0, 0
     for first in range(s * s):
-        args = (s, tuple(e), (tuple(range(s)),), first, bijective, count_only, float("inf"))
+        args = (s, tuple(e), group, first, bijective, count_only, float("inf"))
         f, n, t = _solve_branch(args)
         found, nodes, triples = found + f, nodes + n, triples + t
-    return found, nodes, triples
+    return found if count_only else sorted(found), nodes, triples
 
 
 # --- chain verdict oracle ----------------------------------------------------------

@@ -8,10 +8,12 @@ or an exact frozen value.
 import io
 import random
 from contextlib import redirect_stdout
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
-from helpers import S, fm, full_ybe_search, generalized_pairs, maps_between, naive_inverses
+from helpers import (
+    S, fm, full_ybe_search, generalized_pairs, kernel_ybe_search, maps_between, naive_inverses,
+)
 from regcat.braiding import (
     YbeProblem,
     braiding_from_table,
@@ -256,8 +258,12 @@ def test_criterion_10_solver_scale():
         YbeProblem(X, mode="regular", e_spec="identity", count_only=True, jobs=8)
     )
     ok = one.count == eight.count == 5707
-    # the symmetry-reduced search: one table per orbit of S_3
-    ok = ok and one.nodes == eight.nodes == 93951 and one.triples == eight.triples
+    # the symmetry-reduced search: one table per orbit of S_3 × ⟨τ⟩, τ the factor swap
+    ok = ok and one.nodes == eight.nodes == 64386 and one.triples == eight.triples
+    # the kernel with S_3 alone, the group the solver cut by before τ joined it
+    ok = ok and kernel_ybe_search(3, (0, 1, 2), permutations(range(3)), count_only=True) == (
+        5707, 93951, 181447
+    )
     # the node count of the full-check search: the incremental check prunes exactly as it did
     count, nodes, triples = full_ybe_search(3, (0, 1, 2), count_only=True)
     ok = ok and count == 5707 and nodes == 716697 and triples <= 2_000_000

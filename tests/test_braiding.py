@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    S, fm, full_ybe_search, maps_between, naive_is_inner, oracle_check_ybe, pointwise_compose,
+    S,
+    fm,
+    full_ybe_search,
+    kernel_ybe_search,
+    maps_between,
+    naive_is_inner,
+    oracle_check_ybe,
+    pointwise_compose,
 )
 from regcat import braiding
 from regcat.braiding import (
@@ -21,6 +28,7 @@ from regcat.braiding import (
     _first_violation,
     _lookups,
     _reading,
+    _search_group,
     _stabilizer,
     _triples_from,
     braiding_from_table,
@@ -312,9 +320,14 @@ class TestSolveYbe:
             (b.map.table, e.table) for b, e in par.solutions
         ]
 
-    def test_singleton_carrier(self):
-        res = solve_ybe(YbeProblem(S("U", 1), mode="classical"))
-        assert res.count == 1
+    @pytest.mark.parametrize("s", [0, 1])
+    @pytest.mark.parametrize("mode", ["classical", "regular"])
+    def test_empty_and_singleton_carriers_have_one_solution(self, s, mode):
+        # at s = 1 the factor swap is the identity, so it must not double the count
+        problem = YbeProblem(S("U", s), mode=mode)
+        res = solve_ybe(problem)
+        assert res.count == len(res.solutions) == 1
+        assert solve_ybe(problem._replace(count_only=True)).count == 1
 
     def test_counters_agree_across_jobs(self):
         seq = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True))
@@ -326,11 +339,15 @@ class TestSolveYbe:
     def test_work_counters_are_pinned(self):
         # counts.triples is fixed by the order of the watch lists as well as their contents
         X = S("U", 3)
-        pinned = [("identity", 93951, 181447), (fm("e", X, X, (0, 1, 0)), 314775, 637193)]
+        pinned = [("identity", 64386, 124917), (fm("e", X, X, (0, 1, 0)), 210168, 393228)]
         for spec, nodes, triples in pinned:
             res = solve_ybe(YbeProblem(X, e_spec=spec, count_only=True))
             assert (res.nodes, res.triples) == (nodes, triples)
         assert full_ybe_search(2, (0, 0), count_only=True) == (49, 128, 257)
+        # the kernel with S₃ alone, without the factor swap: the solver's counters before it
+        assert kernel_ybe_search(3, (0, 1, 2), PERMUTATIONS[3], count_only=True) == (
+            5707, 93951, 181447
+        )
 
     def test_count_only_matches_listing(self):
         listed = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all"))
@@ -546,9 +563,45 @@ def test_conjugation_carries_solutions_to_solutions(data):
     assert before.holds == after.holds
 
 
+def _mirror(s, tab):
+    """τ·B = τ∘B∘τ, τ(x, y) = (y, x) swapping the factors of X⊗X."""
+    moved = [0] * (s * s)
+    for x, y in product(range(s), repeat=2):
+        a, b = divmod(tab[s * x + y], s)
+        moved[s * y + x] = s * b + a
+    return moved
+
+
+def _solves_by_composition(s, tab, e):
+    X = S("U", s)
+    lhs, rhs = ybe_side_maps(braiding_from_table("b", X, X, tab), fm("e", X, X, e))
+    return lhs == rhs
+
+
+def test_mirror_carries_solutions_to_solutions_on_every_table_of_size_2():
+    # B solves the equation for e exactly when τ·B does, for the same e
+    solved = 0
+    for e in IDEMPOTENT_TABLES[2]:
+        for tab in product(range(4), repeat=4):
+            holds = _solves_by_composition(2, tab, e)
+            assert _solves_by_composition(2, _mirror(2, tab), e) == holds
+            solved += holds
+    assert solved == 141
+
+
+@pytest.mark.parametrize("e", IDEMPOTENT_TABLES[3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mirror_carries_solutions_to_solutions_at_size_3(e, data):
+    # random tables rarely solve, so half the draws are solutions the full search found
+    random_table = st.lists(st.integers(0, 8), min_size=9, max_size=9)
+    tab = data.draw(st.one_of(random_table, st.sampled_from(_full_listing(3, e, True))))
+    assert _solves_by_composition(3, _mirror(3, tab), e) == _solves_by_composition(3, tab, e)
+
+
 @cache
-def _full_listing(s, e):
-    return full_ybe_search(s, e)[0]
+def _full_listing(s, e, bijective=False):
+    return full_ybe_search(s, e, bijective)[0]
 
 
 # every idempotent at s <= 2; at s = 3 the identity, and (0,1,0), whose stabilizer is trivial
@@ -569,6 +622,23 @@ class TestSymmetryReduction:
         assert listed.count == solve_ybe(problem._replace(count_only=True)).count == len(full)
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("e", IDEMPOTENT_TABLES[3])
+    def test_reduced_bijective_solve_equals_full_search(self, e, jobs):
+        X = S("U", 3)
+        full = _full_listing(3, e, True)
+        problem = YbeProblem(X, e_spec=fm("e", X, X, e), require_bijective=True, jobs=jobs)
+        listed = solve_ybe(problem)
+        assert [b.map.table for b, _ in listed.solutions] == full
+        assert listed.count == solve_ybe(problem._replace(count_only=True)).count == len(full)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_classical_solve_equals_full_search(self, jobs):
+        X = S("U", 3)
+        full = _full_listing(3, (0, 1, 2))
+        listed = solve_ybe(YbeProblem(X, mode="classical", jobs=jobs))
+        assert [b.map.table for b, _ in listed.solutions] == full and listed.count == 5707
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("s", [1, 2])
     def test_all_idempotents_equal_full_search(self, s, jobs):
         X = S("U", s)
@@ -585,7 +655,7 @@ class TestSymmetryReduction:
         es = [fm("e", X, X, (0, 0, 2)), fm("e", X, X, (2, 1, 2))]
         monkeypatch.setattr(braiding, "_idempotents", lambda _: iter(es))
         listed = solve_ybe(YbeProblem(X, e_spec="all", jobs=jobs))
-        assert listed.nodes == 1103832  # those of (0,0,2) alone
+        assert listed.nodes == 623187  # those of (0,0,2) alone
         for e in es:
             got = [b.map.table for b, f in listed.solutions if f is e]
             assert got == _full_listing(3, e.table)
@@ -603,6 +673,18 @@ class TestStabilizer:
             order *= prod(factorial(k - 1) for k in fibre_sizes)
             built = _stabilizer(e, float("inf"))
             assert sorted(built) == commuting and len(commuting) == order
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_search_group_adds_the_factor_swap_once(self, s):
+        n2 = s * s
+        tau = tuple(s * y + x for x in range(s) for y in range(s))
+        for e in IDEMPOTENT_TABLES[s]:
+            stab = _stabilizer(e, n2)
+            group = _search_group(stab)
+            assert len(set(group)) == len(group) == (1 if s == 1 else 2 * len(stab))
+            members = set(group)
+            assert tau in members and all(sorted(p) == list(range(n2)) for p in group)
+            assert all(tuple(p[q] for q in r) in members for p in group for r in group)
 
     def test_groups_larger_than_s_squared_are_not_used(self):
         assert _stabilizer((0, 1, 2), 9) == sorted(permutations(range(3)))

@@ -205,6 +205,13 @@ class TestFindChains:
         monkeypatch.setattr(chains, "map_space_size", unreachable)
         assert len(find_chains(F, 3, limit=2, max_space=0).chains) == 2
 
+    @given(st.integers(1, 40_000))
+    def test_power_of_ten_shown_for_a_bit_length_is_the_largest_below_the_space(self, bits):
+        # the space is at least 2^(bits-1), and 10^k is the largest power of ten up to that
+        shown = str(SearchSpaceTooLarge(None, 1, "candidate towers", bits=bits))
+        k = int(shown.removeprefix("search space of at least 10^").split()[0])
+        assert 10**k <= 2 ** (bits - 1) < 10 ** (k + 1)
+
     @pytest.mark.parametrize("base, exp, factor", [
         (72, 5 * 10**5, 9), (72, 5 * 10**5, 1), (16, 10**5, 1), (16, 10**5, 9), (0, 7, 9),
         (5, 0, 3), (9, 3, 0), (2**64 - 1, 999, 1), (2**64 + 1, 999, 1), (3**40, 777, 5**30),

@@ -566,6 +566,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, shown", [
         # 72^10000 candidate towers
         (("chain", MAPS, "--map", "f", "--n", "20000", "--search"), "at least 10^18573"),
+        # floor((bits - 1)·log₁₀2) past the reach of a float product, which gave
+        # 10^8364681938830974, above the space, at n = 2^53
+        (("chain", MAPS, "--map", "f", "--n", str(2**53), "--search"),
+         "at least 10^8364681938830973"),
+        (("chain", MAPS, "--map", "f", "--n", str(10**30), "--search"),
+         "at least 10^928666248215634230115636245341"),
         # 2^16000 candidate maps, one per map from the 16,000-element codomain
         (("inverses", "<wide>", "--map", "f", "--kind", "inner"), "at least 10^4816"),
         (("inverses", "<wide>", "--map", "f", "--kind", "generalized"), "at least 10^4816"),

@@ -15,17 +15,18 @@ ROOT = Path(__file__).resolve().parent.parent
 MAPS = str(ROOT / "fixtures" / "maps.rcw")
 TRIANGLE = str(ROOT / "fixtures" / "triangle.rcw")
 SEARCH_MODULES = {"regcat.braiding", "regcat.chains", "regcat.diagrams"}
-# importing dataclasses (which imports inspect) costs more than most commands' work
-RECORD_MODULES = {"dataclasses", "inspect"}
+# importing dataclasses (which imports inspect) or decimal costs more than most
+# commands' work; decimal serves only the exponent of a space too long to print
+COSTLY_MODULES = {"dataclasses", "inspect", "decimal"}
 
 
 def loaded(code: str) -> set[str]:
-    """The regcat, multiprocessing, dataclasses and inspect modules loaded after
-    running ``code`` in a fresh interpreter."""
+    """The regcat, multiprocessing, dataclasses, inspect and decimal modules
+    loaded after running ``code`` in a fresh interpreter."""
     report = (
         "import json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0]"
-        " in ('regcat', 'multiprocessing', 'dataclasses', 'inspect'))))"
+        " in ('regcat', 'multiprocessing', 'dataclasses', 'inspect', 'decimal'))))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -50,7 +51,7 @@ def test_import_regcat_loads_no_submodule():
 def test_import_cli_loads_no_search_module():
     found = loaded("import regcat.cli")
     assert "regcat.cli" in found
-    assert found & (SEARCH_MODULES | {"multiprocessing"} | RECORD_MODULES) == set()
+    assert found & (SEARCH_MODULES | {"multiprocessing"} | COSTLY_MODULES) == set()
 
 
 @pytest.mark.parametrize("argv", [
@@ -60,27 +61,27 @@ def test_import_cli_loads_no_search_module():
 def test_map_commands_load_no_search_module(argv):
     found = after_cli(*argv)
     assert "regcat.inverses" in found
-    assert found & (SEARCH_MODULES | {"multiprocessing"} | RECORD_MODULES) == set()
+    assert found & (SEARCH_MODULES | {"multiprocessing"} | COSTLY_MODULES) == set()
 
 
 def test_chain_search_loads_chains_but_no_other_search_module():
     found = after_cli("chain", MAPS, "--map", "f", "--n", "2", "--search")
     assert "regcat.chains" in found
     unused = {"regcat.braiding", "regcat.diagrams", "multiprocessing"}
-    assert found & (unused | RECORD_MODULES) == set()
+    assert found & (unused | COSTLY_MODULES) == set()
 
 
 def test_diagram_loads_diagrams_but_not_braiding():
     found = after_cli("diagram", TRIANGLE, "--name", "D", "--mode", "semicommutative",
                       "--max-len", "2")
     assert "regcat.diagrams" in found
-    assert found & ({"regcat.braiding", "multiprocessing"} | RECORD_MODULES) == set()
+    assert found & ({"regcat.braiding", "multiprocessing"} | COSTLY_MODULES) == set()
 
 
 def test_ybe_loads_neither_dataclasses_nor_inspect():
     found = after_cli("ybe", "--size", "2", "--mode", "regular", "--count-only", "--jobs", "1")
     assert "regcat.braiding" in found
-    assert found & ({"multiprocessing"} | RECORD_MODULES) == set()
+    assert found & ({"multiprocessing"} | COSTLY_MODULES) == set()
 
 
 def test_only_a_forking_solve_loads_multiprocessing():
