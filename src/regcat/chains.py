@@ -16,16 +16,15 @@ makes the level-by-level construction in ``find_chains`` sound.
 
 from __future__ import annotations
 
-import sys
 from typing import Iterator, NamedTuple, Optional
 
-from .core import FinMap, all_maps, compose, compose_path, fibre_columns, map_space_size
+from .core import FinMap, all_maps, compose, compose_path, fibre_columns
 from .errors import (
     AlternationViolation,
     NotAGeneralizedInverse,
     OrderMismatch,
-    SearchSpaceTooLarge,
     TypeMismatch,
+    refuse_large_space,
 )
 from .inverses import DEFAULT_MAX_SPACE, is_inverse
 
@@ -140,70 +139,21 @@ class ChainSearchResult(NamedTuple):
     nodes: int       # star tables built over all levels
 
 
-def _next_stars(f: FinMap, stars: list[FinMap], c: Optional[FinMap]) -> Iterator[FinMap]:
+def _next_stars(f: FinMap, stars: list[FinMap], c: Optional[tuple[int, ...]]) -> Iterator[FinMap]:
     """Every star s that closes the order-(k+1) equation after the valid prefix ``stars``.
 
-    ``c`` is s1∘...∘sk, None for the empty prefix.  At odd order the equation
-    is P∘s∘f = f with P = f∘c, so s(y) is free off im f and lies in the fibre
-    P⁻¹(y) on it; at even order it is c∘s∘s1 = s1, the same with c and im s1.
-    The maps come in lex order, as the product of those columns.
+    ``c`` is the table of s1∘...∘sk, None for the empty prefix.  At odd order
+    the equation is P∘s∘f = f with P = f∘c, so s(y) is free off im f and lies
+    in the fibre P⁻¹(y) on it; at even order it is c∘s∘s1 = s1, the same with
+    c and im s1.  The maps come in lex order, as the product of those columns.
     """
     k = len(stars)
     prefix = f"{f.name}_s{k + 1}_"
     if k % 2 == 0:
-        p = f if c is None else compose(f, c)
-        return all_maps(f.cod, f.dom, prefix, columns=fibre_columns(p, f.table))
-    return all_maps(f.dom, f.cod, prefix, columns=fibre_columns(c, stars[0].table))
-
-
-def _power_bit_length(base: int, exp: int, factor: int) -> int:
-    """The bit length of ``factor * base**exp``, without building the power.
-
-    The power is bracketed by a lower and an upper bound with a mantissa of
-    ``exp.bit_length() + 64`` bits, rounded down and up after each step of
-    square-and-multiply. The product is built only if the bounds' bit
-    lengths differ, which needs it within a relative 2^-60 or so of a power
-    of two.
-    """
-    width = exp.bit_length() + 64
-    lo = hi = 1
-    shift = 0  # lo << shift <= base**e <= hi << shift, e the bits of exp read so far
-    for bit in bin(exp)[2:]:
-        lo, hi, shift = lo * lo, hi * hi, 2 * shift
-        if bit == "1":
-            lo, hi = lo * base, hi * base
-        drop = max(lo.bit_length() - width, 0)
-        lo, hi, shift = lo >> drop, -(-hi >> drop), shift + drop
-    lo, hi = (lo * factor).bit_length(), (hi * factor).bit_length()
-    if lo != hi:
-        return (base**exp * factor).bit_length()
-    return lo + shift if lo else 0  # a zero factor makes the product 0
-
-
-def _refuse_large_tower_space(f: FinMap, n: int, max_space: int) -> None:
-    """Raise SearchSpaceTooLarge if the n levels' map spaces multiply past max_space.
-
-    The product is compared by its bit length, and built only when that
-    does not decide or when the product is printable: at n = 10^7 it has
-    about 3·10^7 bits for a 3 -> 2 map, and building it took seconds.
-    """
-    # odd levels map Y -> X, even levels X -> Y: (|X|^|Y| * |Y|^|X|)^(n//2), times
-    # one more |X|^|Y| at odd n
-    odd, even = map_space_size(f.cod, f.dom), map_space_size(f.dom, f.cod)
-    base, exp, factor = odd * even, n // 2, odd ** (n % 2)
-    bits = _power_bit_length(base, exp, factor)
-    if bits < max_space.bit_length():
-        return
-    # str() refuses an int of more digits than this; 0, or a Python without the
-    # limit, prints any int
-    max_digits = getattr(sys, "get_int_max_str_digits", int)()
-    if bits > max_space.bit_length() and 0 < max_digits < (bits - 1) // 4:
-        # space >= 2^(bits-1) >= 16^((bits-1)//4) > 10^max_digits: too long to print
-        raise SearchSpaceTooLarge(None, max_space, "candidate towers", "pass a limit to truncate",
-                                  bits=bits)
-    space = base**exp * factor
-    if space > max_space:
-        raise SearchSpaceTooLarge(space, max_space, "candidate towers", "pass a limit to truncate")
+        p = f.table if c is None else [f.table[x] for x in c]
+        return all_maps(f.cod, f.dom, prefix, columns=fibre_columns(p, f.cod.cardinality, f.table))
+    return all_maps(f.dom, f.cod, prefix,
+                    columns=fibre_columns(c, f.dom.cardinality, stars[0].table))
 
 
 def find_chains(
@@ -218,21 +168,24 @@ def find_chains(
     (``_next_stars``), so every emitted chain passes check_chain and no
     candidate is rejected.  Results come in lexicographic order of the
     concatenated star tables.  Without a limit, SearchSpaceTooLarge is
-    raised when the product of the n map spaces exceeds max_space: the
-    bound guards the size of that space, not the number of tables built.
-    With a limit at most `limit` towers are returned, and the result is
-    flagged truncated exactly when a further one exists.
+    raised when the product of the n map spaces, |X|^|Y| at odd levels and
+    |Y|^|X| at even ones, exceeds max_space: the bound guards the size of
+    that space, not the number of tables built.  With a limit at most
+    `limit` towers are returned, and the result is flagged truncated exactly
+    when a further one exists.
     """
     if n < 1:
         raise ValueError("chain order must be >= 1")
+    nx, ny = f.dom.cardinality, f.cod.cardinality
     if limit is None:
-        _refuse_large_tower_space(f, n, max_space)
+        refuse_large_space([(nx, ny * ((n + 1) // 2)), (ny, nx * (n // 2))], max_space,
+                           "candidate towers")
 
     stop = None if limit is None else limit + 1
     found: list[StarChain] = []
     nodes = 0
     stars: list[FinMap] = []
-    heads: list[FinMap] = []  # heads[i] = s1∘...∘s(i+1)
+    heads: list[tuple[int, ...]] = []  # heads[i]: the table of s1∘...∘s(i+1)
     levels = [_next_stars(f, stars, None)]  # levels[-1] offers the star after ``stars``
     while levels and len(found) != stop:
         s = next(levels[-1], None)
@@ -247,7 +200,7 @@ def find_chains(
             found.append(StarChain(f, (*stars, s)))
         else:
             stars.append(s)
-            heads.append(compose(heads[-1], s) if heads else s)
+            heads.append(tuple([heads[-1][v] for v in s.table]) if heads else s.table)
             levels.append(_next_stars(f, stars, heads[-1]))
     truncated = limit is not None and len(found) > limit
     return ChainSearchResult(found[:limit], truncated, nodes)

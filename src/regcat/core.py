@@ -119,12 +119,11 @@ class FinMap(_Record):
 
     def __post_init__(self):
         """Check the table against the carriers, once per construction."""
-        if len(self.table) != self.dom.cardinality:
-            raise MissingAssignment(
-                self.dom.elements[len(self.table)]
-                if len(self.table) < self.dom.cardinality
-                else "<extra entries>"
-            )
+        if len(self.table) < self.dom.cardinality:
+            raise MissingAssignment(self.dom.elements[len(self.table)])
+        if len(self.table) > self.dom.cardinality:
+            raise TypeMismatch(f"{self.dom.cardinality} entries", f"{len(self.table)} entries",
+                               f"table of {self.name!r} on {self.dom.id!r}")
         for i, v in enumerate(self.table):
             if not 0 <= v < self.cod.cardinality:
                 raise UnknownLabel(f"index {v}", self.cod.id)
@@ -344,20 +343,14 @@ def all_maps(
         yield FinMap(f"{prefix}{k}", dom, cod, table)
 
 
-def fibre_columns(p: FinMap, on: Iterable[int]) -> list[Optional[list[int]]]:
-    """Per element c of cod(p): the fibre p⁻¹(c), ascending, if c is in ``on``, else None.
+def fibre_columns(table: Sequence[int], size: int, on: Iterable[int]) -> list[Optional[list[int]]]:
+    """Per c < ``size``: the fibre {x : table[x] = c}, ascending, if c is in ``on``, else None.
 
-    As ``columns`` of ``all_maps(p.cod, p.dom, ...)`` this yields exactly the
-    maps g with p(g(c)) = c for every c in ``on``.
+    For p: X -> C with that table, as ``columns`` of ``all_maps(C, X, ...)``
+    this yields exactly the maps g with p(g(c)) = c for every c in ``on``.
     """
-    fibres: list[list[int]] = [[] for _ in range(p.cod.cardinality)]
-    for x, c in enumerate(p.table):
+    fibres: list[list[int]] = [[] for _ in range(size)]
+    for x, c in enumerate(table):
         fibres[c].append(x)
     on = set(on)
-    return [fibres[c] if c in on else None for c in range(p.cod.cardinality)]
-
-
-def map_space_size(dom: FiniteSet, cod: FiniteSet) -> int:
-    if dom.cardinality == 0:
-        return 1
-    return cod.cardinality ** dom.cardinality
+    return [fibres[c] if c in on else None for c in range(size)]

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all regcat modules."""
 
+from math import prod
+
 
 class RegcatError(Exception):
     """Base class for every error raised by regcat."""
@@ -43,43 +45,31 @@ class SubsetDomainMismatch(RegcatError):
 class SearchSpaceTooLarge(RegcatError):
     """A search would exceed its bound; ``unit`` names what ``size`` counts.
 
-    A space too large to print may come as its bit length ``bits`` alone,
-    with ``size`` None.
+    ``size`` is a count, or the text of a map space as a product of powers.
     """
 
-    def __init__(self, size, bound, unit, hint=None, bits=None):
+    def __init__(self, size, bound, unit, hint=None):
         self.size = size
         self.bound = bound
-        if bits is None:
-            try:
-                shown = str(size)
-            except ValueError:  # too many digits to print
-                bits = size.bit_length()
-        if bits is not None:  # a power of ten at most 2^(bits-1)
-            shown = f"at least 10^{_floor_log10_pow2(bits - 1)}"
-        msg = f"search space of {shown} {unit} exceeds the bound {bound}"
+        msg = f"search space of {size} {unit} exceeds the bound {bound}"
         super().__init__(f"{msg}; {hint}" if hint else msg)
 
 
-def _floor_log10_pow2(n: int) -> int:
-    """floor(n·log₁₀2), the largest k with 10^k <= 2^n, exactly for any n >= 0.
+def refuse_large_space(powers, bound: int, unit: str) -> None:
+    """Raise SearchSpaceTooLarge if the product of b**e over ``powers`` exceeds ``bound``.
 
-    With log₁₀2 to ``digits`` places, n·log₁₀2 is known within n·10^-digits;
-    more places are taken until both ends of that interval have one floor.
+    The product is built only when the exponents of its bases >= 2 sum to
+    fewer than the bits of ``bound``; otherwise it is at least
+    2**bound.bit_length() > bound.  The error shows the powers, as ``3^2*2^3``.
     """
-    from decimal import Decimal, localcontext  # 9 ms to import; only a refusal needs it
-
-    digits = len(str(n)) + 10
-    while True:
-        with localcontext() as ctx:
-            ctx.prec = digits
-            log2 = Decimal(2).log10()  # correctly rounded
-            ctx.prec = 2 * digits + 2  # n·log2 and its error bound, exactly
-            mid, err = n * log2, n * Decimal(10) ** -digits
-            low, high = int(mid - err), int(mid + err)
-        if low == high:
-            return low
-        digits *= 2
+    if any(b == 0 < e for b, e in powers):
+        exceeds = bound < 0  # the space is 0
+    else:
+        exceeds = (sum(e for b, e in powers if b > 1) >= bound.bit_length()
+                   or prod(b**e for b, e in powers) > bound)
+    if exceeds:
+        shown = "*".join(f"{b}^{e}" for b, e in powers if e) or "1"
+        raise SearchSpaceTooLarge(shown, bound, unit, "pass a limit to truncate")
 
 
 class NoInverseExists(RegcatError):

@@ -12,13 +12,8 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
-from .core import FinMap, all_maps, classify_map, compose, fibre_columns, map_space_size
-from .errors import (
-    NoInverseExists,
-    NotAnInnerInverse,
-    SearchSpaceTooLarge,
-    TypeMismatch,
-)
+from .core import FinMap, all_maps, classify_map, compose, fibre_columns
+from .errors import NoInverseExists, NotAnInnerInverse, TypeMismatch, refuse_large_space
 
 INVERSE_KINDS = ("inner", "outer", "generalized")
 
@@ -65,28 +60,33 @@ class InverseEnumeration(NamedTuple):
 class _OuterTables:
     """Tables of the outer inverses of f in lex order, built as they are taken.
 
-    A depth-first search over the positions y of cod(f) in order.  g∘f∘g = g
-    says g(f(x)) = x for every value x = g(y), so setting g(y) = x forces
-    position f(x): x is rejected when an earlier position forced g(y)
+    A depth-first search over the positions y of cod(f) in order, trying at
+    each the ascending values of ``columns[y]`` (all of dom(f) where None).
+    g∘f∘g = g says g(f(x)) = x for every value x = g(y), so setting g(y) = x
+    forces position f(x): x is rejected when an earlier position forced g(y)
     otherwise, when f(x) < y and g(f(x)) ≠ x, or when f(x) > y is already
     forced to another value.  ``nodes`` is the number of (position, value)
     pairs tested so far.
     """
 
-    def __init__(self, f: FinMap):
+    def __init__(self, f: FinMap, columns: Optional[list[Optional[list[int]]]] = None):
         self.f = f
+        whole = range(f.dom.cardinality)
+        self.columns = [whole if c is None else c for c in columns or [None] * f.cod.cardinality]
         self.nodes = 0
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        nx, ny, ft = self.f.dom.cardinality, self.f.cod.cardinality, self.f.table
+        ny, ft, columns = self.f.cod.cardinality, self.f.table, self.columns
         g = [0] * ny
+        at = [0] * ny  # at[y]: the index of g(y) in columns[y]
         forced: list[Optional[int]] = [None] * ny
         claims: list[Optional[int]] = [None] * ny  # claims[y]: the position g(y) forced
         nodes = 0
-        y, x = 0, 0  # the position being filled and the next value to try there
+        y, i = 0, 0  # the position being filled and the index of the next value to try
         while y >= 0:
-            if y < ny and x < nx:
+            if y < ny and i < len(columns[y]):
                 nodes += 1
+                x = columns[y][i]
                 t = ft[x]
                 if forced[y] not in (None, x):
                     fits = False
@@ -95,12 +95,12 @@ class _OuterTables:
                 else:
                     fits = t == y or forced[t] in (None, x)
                 if not fits:
-                    x += 1
+                    i += 1
                     continue
-                g[y] = x
+                g[y], at[y] = x, i
                 if t > y and forced[t] is None:
                     forced[t], claims[y] = x, t
-                y, x = y + 1, 0
+                y, i = y + 1, 0
                 continue
             if y == ny:
                 self.nodes = nodes
@@ -109,7 +109,7 @@ class _OuterTables:
             if y >= 0:
                 if claims[y] is not None:
                     forced[claims[y]], claims[y] = None, None
-                x = g[y] + 1
+                i = at[y] + 1
         self.nodes = nodes
 
 
@@ -123,8 +123,9 @@ def enumerate_inverses(
 
     The inverses are built, not filtered out of all |dom|^|cod| maps g.
     Inner ones are the product of the fibres f⁻¹(y) over im f, with any
-    value elsewhere; generalized ones are the inner ones with g∘f∘g = g;
-    outer ones come from a depth-first search (``_OuterTables``).
+    value elsewhere.  Outer ones come from a depth-first search
+    (``_OuterTables``); generalized ones from the same search with the
+    value at each y of im f taken from the fibre f⁻¹(y).
 
     Without a limit the count is exact, and SearchSpaceTooLarge is raised
     when |dom|^|cod| exceeds max_space: the bound guards the size of the map
@@ -134,24 +135,18 @@ def enumerate_inverses(
     """
     if kind not in INVERSE_KINDS:
         raise ValueError(f"unknown inverse kind {kind!r}")
-    space = map_space_size(f.cod, f.dom)
-    if limit is None and space > max_space:
-        raise SearchSpaceTooLarge(space, max_space, "candidate maps", "pass a limit to truncate")
+    if limit is None:
+        refuse_large_space([(f.dom.cardinality, f.cod.cardinality)], max_space, "candidate maps")
     stop = None if limit is None else limit + 1
-    if kind == "outer":
-        search = _OuterTables(f)
-        tables = islice(search, stop)
-        found = [FinMap(f"{f.name}_inv{k}", f.cod, f.dom, t) for k, t in enumerate(tables)]
-        nodes = search.nodes
+    columns = fibre_columns(f.table, f.cod.cardinality, f.table)
+    if kind == "inner":
+        found = list(islice(all_maps(f.cod, f.dom, f"{f.name}_inv", columns), stop))
+        nodes = len(found)
     else:
-        found, nodes = [], 0
-        columns = fibre_columns(f, f.table)
-        for g in all_maps(f.cod, f.dom, prefix=f"{f.name}_inv", columns=columns):
-            nodes += 1
-            if kind == "inner" or is_inverse(f, g, "generalized"):
-                found.append(g)
-                if len(found) == stop:
-                    break
+        search = _OuterTables(f, columns if kind == "generalized" else None)
+        found = [FinMap(f"{f.name}_inv{k}", f.cod, f.dom, t)
+                 for k, t in enumerate(islice(search, stop))]
+        nodes = search.nodes
     truncated = limit is not None and len(found) > limit
     found = found[:limit]
     return InverseEnumeration(found, len(found), truncated, nodes)
@@ -240,6 +235,10 @@ def closure_composite(f: FinMap, fstar: FinMap, g: FinMap, gstar: FinMap) -> Clo
     return ClosureReport(commute, regular, composite_star)
 
 
-def unique_generalized_inverse(f: FinMap, max_space: int = DEFAULT_MAX_SPACE) -> bool:
-    """True iff exactly one map satisfies both regularity equations for f."""
-    return enumerate_inverses(f, "generalized", max_space=max_space).count == 1
+def unique_generalized_inverse(f: FinMap) -> bool:
+    """True iff exactly one map satisfies both regularity equations for f.
+
+    The search stops at a second inverse, so no map space is sized.
+    """
+    first = enumerate_inverses(f, "generalized", limit=1)
+    return first.count == 1 and not first.truncated

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import math
 import random
 import time
+import tracemalloc
 
 from helpers import (
     S,
@@ -31,6 +33,7 @@ from regcat.errors import (
     NotAGeneralizedInverse,
     OrderMismatch,
     SearchSpaceTooLarge,
+    refuse_large_space,
 )
 
 X3 = S("X", 3)
@@ -168,7 +171,9 @@ class TestFindChains:
             space *= 9 if k % 2 == 1 else 8
         with pytest.raises(SearchSpaceTooLarge) as info:
             find_chains(F, n, max_space=space - 1)
-        assert info.value.size == space
+        shown = {1: "3^2", 2: "3^2*2^3", 3: "3^4*2^3", 4: "3^4*2^6", 7: "3^8*2^9"}
+        assert info.value.size == shown[n]
+        assert find_chains(F, n, max_space=space).chains == find_chains(F, n).chains
         assert find_chains(F, n, limit=0, max_space=space - 1).chains == []
 
     def test_space_of_a_deep_tower_is_not_multiplied_level_by_level(self):
@@ -178,46 +183,36 @@ class TestFindChains:
         assert time.perf_counter() - t < 1.0
 
     def test_a_space_too_long_to_print_is_refused_by_its_bit_length(self):
-        # 72^(5·10^6) has 30,852,901 bits; building it took seconds
+        # 72^(5·10^6) has 30,852,901 bits; its exponents alone exceed the bound's 27 bits
         t = time.perf_counter()
         with pytest.raises(SearchSpaceTooLarge) as info:
             find_chains(F, 10**7)
         assert time.perf_counter() - t < 0.5
-        assert info.value.size is None
         assert str(info.value) == (
-            "search space of at least 10^9286662 candidate towers exceeds the bound 100000000; "
+            "search space of 3^10000000*2^15000000 candidate towers exceeds the bound 100000000; "
             "pass a limit to truncate"
         )
-
-    # the space has 4,300 digits, the most str() prints, at n = 4630
-    @pytest.mark.parametrize("n", [4000, 4629, 4630, 4631, 4632, 6000, 20000])
-    def test_a_space_near_the_print_limit_is_shown_as_its_exact_value_would_be(self, n):
-        space = 9 ** ((n + 1) // 2) * 8 ** (n // 2)
-        with pytest.raises(SearchSpaceTooLarge) as info:
-            find_chains(F, n, max_space=10**8)
-        shown = SearchSpaceTooLarge(space, 10**8, "candidate towers", "pass a limit to truncate")
-        assert str(info.value) == str(shown)
 
     def test_a_limit_skips_the_space(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("the space was sized")
 
-        monkeypatch.setattr(chains, "map_space_size", unreachable)
+        monkeypatch.setattr(chains, "refuse_large_space", unreachable)
         assert len(find_chains(F, 3, limit=2, max_space=0).chains) == 2
+        with pytest.raises(AssertionError, match="sized"):
+            find_chains(F, 3, max_space=0)
 
-    @given(st.integers(1, 40_000))
-    def test_power_of_ten_shown_for_a_bit_length_is_the_largest_below_the_space(self, bits):
-        # the space is at least 2^(bits-1), and 10^k is the largest power of ten up to that
-        shown = str(SearchSpaceTooLarge(None, 1, "candidate towers", bits=bits))
-        k = int(shown.removeprefix("search space of at least 10^").split()[0])
-        assert 10**k <= 2 ** (bits - 1) < 10 ** (k + 1)
-
-    @pytest.mark.parametrize("base, exp, factor", [
-        (72, 5 * 10**5, 9), (72, 5 * 10**5, 1), (16, 10**5, 1), (16, 10**5, 9), (0, 7, 9),
-        (5, 0, 3), (9, 3, 0), (2**64 - 1, 999, 1), (2**64 + 1, 999, 1), (3**40, 777, 5**30),
-    ])
-    def test_power_bit_length_is_exact(self, base, exp, factor):
-        assert chains._power_bit_length(base, exp, factor) == (base**exp * factor).bit_length()
+    def test_a_deep_tower_under_a_limit_takes_linear_memory(self):
+        # the prefix composites are kept as tables, not as maps whose names
+        # nest every earlier star's name
+        tracemalloc.start()
+        try:
+            r = find_chains(F, 4000, limit=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.truncated and len(r.chains[0].stars) == 4000
+        assert peak < 10 * 2**20
 
     def test_lexicographic_order(self):
         keys = [
@@ -225,6 +220,43 @@ class TestFindChains:
             for c in find_chains(F, 2).chains
         ]
         assert keys == sorted(keys)
+
+
+class TestRefuseLargeSpace:
+    """The shared check of a map space given as powers, against building the product."""
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 40)), min_size=1, max_size=3),
+           st.sampled_from([-1, 0, 1]), st.integers(-2, 10**40))
+    def test_refuses_exactly_when_the_product_exceeds_the_bound(self, powers, offset, other):
+        space = math.prod(b**e for b, e in powers)
+        for bound in (space + offset, other):
+            try:
+                refuse_large_space(powers, bound, "maps")
+            except SearchSpaceTooLarge as exc:
+                assert space > bound, (powers, bound)
+                assert exc.bound == bound
+            else:
+                assert space <= bound, (powers, bound)
+
+    @pytest.mark.parametrize("powers, bound, shown", [
+        ([(3, 2)], 8, "3^2"),
+        ([(3, 2), (2, 0)], 8, "3^2"),
+        ([(3, 2), (2, 3)], 71, "3^2*2^3"),
+        ([(1, 5), (2, 0)], 0, "1^5"),
+        ([(0, 0)], 0, "1"),
+        ([(0, 3)], -1, "0^3"),
+    ])
+    def test_the_space_is_shown_as_its_powers(self, powers, bound, shown):
+        with pytest.raises(SearchSpaceTooLarge) as info:
+            refuse_large_space(powers, bound, "candidate maps")
+        assert str(info.value) == (f"search space of {shown} candidate maps exceeds the bound "
+                                   f"{bound}; pass a limit to truncate")
+
+    @pytest.mark.parametrize("powers, bound", [
+        ([(3, 2)], 9), ([(0, 3), (5, 9)], 0), ([(1, 10**30)], 1), ([(7, 0)], 1),
+    ])
+    def test_a_space_within_the_bound_passes(self, powers, bound):
+        refuse_large_space(powers, bound, "candidate maps")
 
 
 def _tables(result):

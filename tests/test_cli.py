@@ -89,7 +89,7 @@ class TestInverses:
             _, rep = run_json(capsys, "inverses", MAPS, "--map", "f", "--kind", kind)
             assert list(rep["counts"]) == ["inverses", "nodes"]
             nodes[kind] = rep["counts"]["nodes"]
-        assert nodes == {"inner": 2, "outer": 12, "generalized": 2}
+        assert nodes == {"inner": 2, "outer": 12, "generalized": 4}
 
 
 class TestChainAndProjector:
@@ -555,38 +555,35 @@ class TestExitCodes:
         (("ybe", "--size", "2", "--mode", "classical", "--count-only", "--max-space", "3"),
          "4 candidate tables exceeds the bound 3\n"),
         (("inverses", MAPS, "--map", "f", "--kind", "inner", "--max-space", "2"),
-         "9 candidate maps exceeds the bound 2; pass a limit to truncate\n"),
+         "3^2 candidate maps exceeds the bound 2; pass a limit to truncate\n"),
         (("chain", MAPS, "--map", "f", "--n", "2", "--search", "--max-space", "2"),
-         "72 candidate towers exceeds the bound 2; pass a limit to truncate\n"),
+         "3^2*2^3 candidate towers exceeds the bound 2; pass a limit to truncate\n"),
     ])
     def test_bound_names_what_it_counts(self, argv, counted, capsys):
         assert main(list(argv)) == 3
         assert capsys.readouterr() == ("", f"error: search space of {counted}")
 
     @pytest.mark.parametrize("argv, shown", [
-        # 72^10000 candidate towers
-        (("chain", MAPS, "--map", "f", "--n", "20000", "--search"), "at least 10^18573"),
-        # floor((bits - 1)·log₁₀2) past the reach of a float product, which gave
-        # 10^8364681938830974, above the space, at n = 2^53
+        (("chain", MAPS, "--map", "f", "--n", "20000", "--search"), "3^20000*2^30000"),
         (("chain", MAPS, "--map", "f", "--n", str(2**53), "--search"),
-         "at least 10^8364681938830973"),
+         "3^9007199254740992*2^13510798882111488"),
         (("chain", MAPS, "--map", "f", "--n", str(10**30), "--search"),
-         "at least 10^928666248215634230115636245341"),
-        # 2^16000 candidate maps, one per map from the 16,000-element codomain
-        (("inverses", "<wide>", "--map", "f", "--kind", "inner"), "at least 10^4816"),
-        (("inverses", "<wide>", "--map", "f", "--kind", "generalized"), "at least 10^4816"),
+         "3^1000000000000000000000000000000*2^1500000000000000000000000000000"),
+        # one candidate map per map from the 16,000-element codomain
+        (("inverses", "<wide>", "--map", "f", "--kind", "inner"), "2^16000"),
+        (("inverses", "<wide>", "--map", "f", "--kind", "generalized"), "2^16000"),
     ])
-    def test_a_space_too_large_to_print_is_shown_as_a_power_of_ten(
-        self, argv, shown, tmp_path, capsys
-    ):
+    def test_a_large_space_is_shown_as_exact_powers(self, argv, shown, tmp_path, capsys):
         wide = tmp_path / "wide.rcw"
         codomain = ", ".join(f"b{i}" for i in range(16_000))
         wide.write_text(f"set A = {{ a0, a1 }}\nset B = {{ {codomain} }}\n"
                         "map f : A -> B { a0 -> b0, a1 -> b1 }\n")
+        t = time.perf_counter()
         assert main([str(wide) if a == "<wide>" else a for a in argv]) == 3
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
-        assert err.startswith(f"error: search space of {shown} ")
+        assert time.perf_counter() - t < 0.5
+        assert capsys.readouterr() == ("", f"error: search space of {shown} candidate "
+                                       f"{'maps' if argv[0] == 'inverses' else 'towers'} exceeds "
+                                       "the bound 100000000; pass a limit to truncate\n")
 
     def test_out_of_memory_is_a_resource_error(self, monkeypatch, capsys):
         def exhausted(ws, ns):

@@ -16,7 +16,7 @@ MAPS = str(ROOT / "fixtures" / "maps.rcw")
 TRIANGLE = str(ROOT / "fixtures" / "triangle.rcw")
 SEARCH_MODULES = {"regcat.braiding", "regcat.chains", "regcat.diagrams"}
 # importing dataclasses (which imports inspect) or decimal costs more than most
-# commands' work; decimal serves only the exponent of a space too long to print
+# commands' work; no command needs them, a refusal included
 COSTLY_MODULES = {"dataclasses", "inspect", "decimal"}
 
 
@@ -35,12 +35,13 @@ def loaded(code: str) -> set[str]:
     return set(json.loads(out.splitlines()[-1]))
 
 
-def after_cli(*argv: str) -> set[str]:
+def after_cli(*argv: str, code: int = 0) -> set[str]:
     return loaded(
         "import contextlib, io\n"
         "from regcat.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({list(argv)!r}) == 0\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        f"    assert main({list(argv)!r}) == {code}\n"
     )
 
 
@@ -69,6 +70,12 @@ def test_chain_search_loads_chains_but_no_other_search_module():
     assert "regcat.chains" in found
     unused = {"regcat.braiding", "regcat.diagrams", "multiprocessing"}
     assert found & (unused | COSTLY_MODULES) == set()
+
+
+def test_a_refused_search_loads_no_costly_module():
+    found = after_cli("chain", MAPS, "--map", "f", "--n", "20000", "--search", code=3)
+    assert "regcat.chains" in found
+    assert found & COSTLY_MODULES == set()
 
 
 def test_diagram_loads_diagrams_but_not_braiding():

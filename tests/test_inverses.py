@@ -81,6 +81,16 @@ class TestEnumerate:
         with pytest.raises(SearchSpaceTooLarge):
             enumerate_inverses(F, "inner", max_space=5)
 
+    @pytest.mark.parametrize("kind", INVERSE_KINDS)
+    def test_space_is_dom_to_the_cod(self, kind):
+        # the 3^2 maps Y2 -> X3
+        with pytest.raises(SearchSpaceTooLarge) as info:
+            enumerate_inverses(F, kind, max_space=8)
+        assert str(info.value) == ("search space of 3^2 candidate maps exceeds the bound 8; "
+                                   "pass a limit to truncate")
+        assert enumerate_inverses(F, kind, max_space=9) == enumerate_inverses(F, kind)
+        assert enumerate_inverses(F, kind, limit=1, max_space=8).count == 1
+
     def test_matches_naive_filter(self):
         for nx in range(1, 4):
             for ny in range(1, 4):
@@ -139,15 +149,26 @@ class TestConstructive:
             assert not enumerate_inverses(F, kind, limit=3).truncated
 
     def test_nodes(self):
-        # inner: the product [{0, 1}, {2}] builds 2 tables; generalized tests
-        # those 2; outer tries 3 values at position 0, then 3 at 1 under each
+        # inner: the product [{0, 1}, {2}] builds 2 tables; generalized tries
+        # the fibre {0, 1} at position 0, then the fibre {2} at 1 under each;
+        # outer tries 3 values at position 0, then 3 at 1 under each
         assert enumerate_inverses(F, "inner").nodes == 2
-        assert enumerate_inverses(F, "generalized").nodes == 2
+        assert enumerate_inverses(F, "generalized").nodes == 4
         assert enumerate_inverses(F, "outer").nodes == 12
         # under a limit the search runs on to the next inverse, (0, 2): value 0
         # at position 0, then values 0, 1 and 2 at position 1
         assert enumerate_inverses(F, "outer", limit=1).nodes == 4
         assert enumerate_inverses(F, "inner", limit=0).nodes == 1
+
+    def test_generalized_under_a_limit_builds_no_candidate_sweep(self):
+        # a constant map X -> X has |X| generalized inverses, the constant
+        # maps, among |X|^(|X|-1) inner ones
+        c = fm("c", S("X", 12), S("X", 12), (0,) * 12)
+        res = enumerate_inverses(c, "generalized", limit=1, max_space=0)
+        assert res.maps[0].table == (0,) * 12 and res.truncated
+        assert res.nodes == 156
+        full = enumerate_inverses(c, "generalized", max_space=12**12)
+        assert full.count == 12 and full.nodes == 1596
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -278,6 +299,13 @@ class TestUniqueGeneralized:
 
     def test_identity(self):
         assert unique_generalized_inverse(identity(X3))
+
+    def test_a_large_identity_takes_no_space_bound(self):
+        # 12^12 = 8,916,100,448,256 candidate maps, one generalized inverse
+        assert unique_generalized_inverse(identity(S("X", 12)))
+
+    def test_a_large_constant_map_is_answered_at_its_second_inverse(self):
+        assert not unique_generalized_inverse(fm("c", S("X", 12), S("X", 12), (0,) * 12))
 
 
 class TestInnerCountFormula:

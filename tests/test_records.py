@@ -18,7 +18,7 @@ from regcat.diagrams import (
     SemicommutativityReport,
 )
 from regcat.dsl import Workspace
-from regcat.errors import DuplicateAssignment, MissingAssignment, UnknownLabel
+from regcat.errors import DuplicateAssignment, MissingAssignment, TypeMismatch, UnknownLabel
 from regcat.inverses import DEFAULT_MAX_SPACE
 
 X, Y = S("X", 2), S("Y", 3)
@@ -100,13 +100,19 @@ def test_mutable_records_get_fresh_defaults():
 @pytest.mark.parametrize("build, error", [
     (lambda: FiniteSet("X", ("a", "b", "a")), DuplicateAssignment),
     (lambda: fm("f", X, Y, (0,)), MissingAssignment),
-    (lambda: fm("f", X, Y, (0, 1, 2)), MissingAssignment),
+    (lambda: fm("f", X, Y, (0, 1, 2)), TypeMismatch),
     (lambda: fm("f", X, Y, (0, 3)), UnknownLabel),
     (lambda: X.index("zz"), UnknownLabel),
 ])
 def test_bad_input_raises(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_a_table_longer_than_its_domain_names_both_counts():
+    with pytest.raises(TypeMismatch) as info:
+        fm("f", X, Y, (0, 1, 2))
+    assert str(info.value) == "table of 'f' on 'X': expected object '2 entries', got '3 entries'"
 
 
 def test_regular_three_cycle_derives_its_obstructor():
