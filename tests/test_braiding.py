@@ -3,7 +3,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from functools import cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from math import factorial, prod
 
 import pytest
@@ -258,6 +258,18 @@ class TestIdempotents:
         assert len(sweep) == count
 
 
+# Node budgets a solve with more than one job may spend in the parent.  On A2
+# under ``--e all``, class 0's branches end at 49, 74, 75 and 100 nodes and
+# class 1's first at 161: every branch is pooled; the pool starts in class 0's
+# second branch; in class 1's first; no pool starts, as every size-2 solve fits.
+PARENT_BUDGETS = [0, 60, 120, braiding.PARENT_NODES]
+
+
+def outcome(res):
+    """What a solve must give for every job count: its count, work counters and listing."""
+    return res.count, res.nodes, res.triples, [(b.map.table, e.table) for b, e in res.solutions]
+
+
 class TestSolveYbe:
     def test_classical_s2_count(self):
         res = solve_ybe(YbeProblem(A2, mode="classical"))
@@ -312,13 +324,12 @@ class TestSolveYbe:
         ]
         assert keys == sorted(keys)
 
-    def test_jobs_agree(self):
+    def test_jobs_agree(self, monkeypatch):
         seq = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all"))
-        par = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", jobs=2))
-        assert seq.count == par.count
-        assert [(b.map.table, e.table) for b, e in seq.solutions] == [
-            (b.map.table, e.table) for b, e in par.solutions
-        ]
+        for parent_nodes in PARENT_BUDGETS:
+            monkeypatch.setattr(braiding, "PARENT_NODES", parent_nodes)
+            par = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", jobs=2))
+            assert outcome(seq) == outcome(par)
 
     @pytest.mark.parametrize("s", [0, 1])
     @pytest.mark.parametrize("mode", ["classical", "regular"])
@@ -329,10 +340,12 @@ class TestSolveYbe:
         assert res.count == len(res.solutions) == 1
         assert solve_ybe(problem._replace(count_only=True)).count == 1
 
-    def test_counters_agree_across_jobs(self):
+    def test_counters_agree_across_jobs(self, monkeypatch):
         seq = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True))
-        par = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True, jobs=2))
-        assert (seq.count, seq.nodes, seq.triples) == (par.count, par.nodes, par.triples)
+        for parent_nodes in PARENT_BUDGETS:
+            monkeypatch.setattr(braiding, "PARENT_NODES", parent_nodes)
+            par = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True, jobs=2))
+            assert outcome(seq) == outcome(par)
         # 3 idempotents x 4 roots, plus 4 candidates at every consistent inner node
         assert seq.nodes > 12 and seq.triples > 0
 
@@ -357,13 +370,22 @@ class TestSolveYbe:
         )
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_node_budget(self, jobs):
-        total = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True)).nodes
-        for budget in (0, 10, total - 1):
-            with pytest.raises(SearchSpaceTooLarge):
-                solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", jobs=jobs, max_nodes=budget))
-        res = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", jobs=jobs, max_nodes=total))
-        assert res.count == 141 and res.nodes == total
+    def test_node_budget(self, jobs, monkeypatch):
+        problem = YbeProblem(A2, mode="regular", e_spec="all")
+        total = solve_ybe(problem._replace(count_only=True)).nodes
+        for parent_nodes in PARENT_BUDGETS:
+            monkeypatch.setattr(braiding, "PARENT_NODES", parent_nodes)
+            # at the roots, inside class 0's first branch, inside class 1's first branch
+            for budget in (0, 10, 120, total - 1):
+                refusals = []
+                for k in (1, jobs):
+                    with pytest.raises(SearchSpaceTooLarge) as exc:
+                        solve_ybe(problem._replace(jobs=k, max_nodes=budget))
+                    refusals.append((exc.value.size, exc.value.bound))
+                assert refusals[0] == refusals[1] and refusals[0][1] == budget
+            res = solve_ybe(problem._replace(jobs=jobs, max_nodes=total))
+            assert res.count == 141 and res.nodes == total
+            assert outcome(res) == outcome(solve_ybe(problem))
 
     def test_node_budget_stops_large_carrier(self):
         with pytest.raises(SearchSpaceTooLarge):
@@ -417,6 +439,88 @@ class TestSolveYbe:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+class InProcessPool:
+    """Stands in for ``braiding.Pool``: records the workers asked for and the
+    first entries of the branches it is given, and runs them in the parent."""
+
+    def __init__(self, processes):
+        self.processes = processes
+        self.firsts = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, func, tasks):
+        for task in tasks:
+            self.firsts.append(task[3])
+            yield func(task)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The in-process pools a solve starts, in order."""
+    made = []
+
+    def start(processes):
+        made.append(InProcessPool(processes))
+        return made[-1]
+
+    monkeypatch.setattr(braiding, "Pool", start)
+    return made
+
+
+class TestParentFirst:
+    def test_a_solve_that_fits_in_the_parent_starts_no_pool(self, pools):
+        for spec in ("identity", "all"):
+            solve_ybe(YbeProblem(A2, e_spec=spec, jobs=2))
+        assert pools == []
+
+    @pytest.mark.parametrize("spec, budget, workers, firsts", [
+        # the identity's four branches take 61, 49, 1 and 37 nodes
+        ("identity", 0, 4, [0, 1, 2, 3]),
+        ("identity", 70, 3, [1, 2, 3]),
+        # one pool serves both classes, and only one class's branches are in flight
+        ("all", 0, 4, [0, 1, 2, 3] * 2),
+        ("all", 60, 4, [1, 2, 3, 0, 1, 2, 3]),
+        # the pool starts in class 1, the last, after 161 of the 248 nodes
+        ("all", 180, 3, [1, 2, 3]),
+    ])
+    def test_no_more_workers_than_branches_left(self, pools, monkeypatch, spec, budget,
+                                                workers, firsts):
+        monkeypatch.setattr(braiding, "PARENT_NODES", budget)
+        problem = YbeProblem(A2, e_spec=spec, jobs=64)
+        assert outcome(solve_ybe(problem)) == outcome(solve_ybe(problem._replace(jobs=1)))
+        assert [(p.processes, p.firsts) for p in pools] == [(workers, firsts)]
+
+    def test_every_split_of_a_solve_between_parent_and_pool(self, pools, monkeypatch):
+        # the size-3 --bijective identity solve: 5,084 nodes in nine branches
+        problem = YbeProblem(S("U", 3), require_bijective=True, jobs=2)
+        expected = outcome(solve_ybe(problem._replace(jobs=1)))
+        group = _search_group(_stabilizer((0, 1, 2), 9))
+        ends = list(accumulate(
+            braiding._solve_branch((3, (0, 1, 2), group, first, True, True, 10**9))[1]
+            for first in range(9)
+        ))
+        assert ends[-1] == expected[1] == 5084
+        for budget in sorted({0, *(end + d for end in ends for d in (-1, 0, 1))}):
+            pools.clear()
+            monkeypatch.setattr(braiding, "PARENT_NODES", budget)
+            assert outcome(solve_ybe(problem)) == expected
+            # the first branch past the budget is run again in the pool, with every later one
+            dropped = next((k for k, end in enumerate(ends) if end > budget), None)
+            assert [p.firsts for p in pools] == ([] if dropped is None else [list(range(dropped, 9))])
+
+    # at the roots, inside branch 1, at the end of branch 4
+    @pytest.mark.parametrize("budget", [0, 1647, 3460])
+    def test_a_split_solve_on_worker_processes(self, monkeypatch, budget):
+        problem = YbeProblem(S("U", 3), require_bijective=True, jobs=2)
+        monkeypatch.setattr(braiding, "PARENT_NODES", budget)
+        assert outcome(solve_ybe(problem)) == outcome(solve_ybe(problem._replace(jobs=1)))
 
 
 # --- incremental consistency check ----------------------------------------------
