@@ -50,19 +50,22 @@ def _json_key(k) -> str:
 def _indented_json(value) -> str:
     """``json.dumps(value, indent=2)``, written level by level without recursion.
 
-    The non-empty containers are collected a level at a time, in output
-    order. The deepest level is written first, and each container takes its
-    children's texts, in order, from the level below. Strings and ints are
-    written here; other scalars go to ``json.dumps``, which with ``indent``
-    set would run its pure-Python encoder over the whole value.
+    The non-empty containers are collected a level at a time, each distinct
+    one (by ``id``) once per level, so a container shared by many parents is
+    written once at each depth it appears at. The deepest level is written
+    first, and each container looks its children's texts up by ``id`` in the
+    level below. Strings and ints are written here; other scalars go to
+    ``json.dumps``, which with ``indent`` set would run its pure-Python
+    encoder over the whole value.
     """
     levels = []
-    level = [value] if isinstance(value, _CONTAINERS) and value else []
+    level = {id(value): value} if isinstance(value, _CONTAINERS) and value else {}
     while level:
         levels.append(level)
-        level = [v for c in level for v in (c.values() if isinstance(c, dict) else c)
-                 if isinstance(v, _CONTAINERS) and v]
-    below = iter(())
+        level = {id(v): v for c in level.values()
+                 for v in (c.values() if isinstance(c, dict) else c)
+                 if isinstance(v, _CONTAINERS) and v}
+    below: dict = {}
     enc = encode_basestring_ascii
 
     def text(v) -> str:
@@ -71,15 +74,15 @@ def _indented_json(value) -> str:
         if v.__class__ is int:
             return int.__repr__(v)
         if isinstance(v, _CONTAINERS):
-            return next(below) if v else "{}" if isinstance(v, dict) else "[]"
+            return below[id(v)] if v else "{}" if isinstance(v, dict) else "[]"
         return json.dumps(v)
 
     for depth in reversed(range(len(levels))):
         inner = "\n" + "  " * (depth + 1)
         sep, close = "," + inner, "\n" + "  " * depth
         # strings, most of a report's scalars, are encoded without a call to text
-        below = iter([
-            "{" + inner + sep.join([
+        below = {
+            key: "{" + inner + sep.join([
                 f"{enc(k) if k.__class__ is str else _json_key(k)}: "
                 f"{enc(v) if v.__class__ is str else text(v)}"
                 for k, v in c.items()
@@ -87,8 +90,8 @@ def _indented_json(value) -> str:
             if isinstance(c, dict) else
             "[" + inner + sep.join([enc(v) if v.__class__ is str else text(v) for v in c])
             + close + "]"
-            for c in levels[depth]
-        ])
+            for key, c in levels[depth].items()
+        }
     return text(value)
 
 
@@ -142,6 +145,11 @@ def _map_as_labels(m: FinMap) -> dict:
 
 def _cycle_as_json(c: diagrams.Cycle) -> dict:
     return {"base": c.base, "edges": list(c.edges)}
+
+
+def _walk_counts(rep) -> dict:
+    """A diagram check's work: trail prefixes composed, closed trails checked, states expanded."""
+    return {"paths": rep.paths, "cycles": rep.cycles, "states": rep.states}
 
 
 # --- subcommand handlers --------------------------------------------------------
@@ -258,21 +266,21 @@ def _cmd_diagram(ws: Workspace, ns) -> Report:
     check = diagrams.is_commutative if ns.mode == "commutative" else diagrams.is_semicommutative
     rep = check(d, ns.max_len, max_space=ns.max_space)
     witnesses = []
+    cycles: dict = {}  # one dict per cycle, shared by its witnesses and written once
     for v in rep.violations:
         if v[0] == "cycle":
             witnesses.append({"kind": "cycle", "cycle": _cycle_as_json(v[1])})
         elif v[0] == "parallel_paths":
             witnesses.append({"kind": "parallel_paths", "paths": [list(v[1]), list(v[2])]})
         else:
-            witnesses.append(
-                {"kind": "absorption", "cycle": _cycle_as_json(v[1]), "edge": v[2]}
-            )
+            c = cycles.get(v[1]) or cycles.setdefault(v[1], _cycle_as_json(v[1]))
+            witnesses.append({"kind": "absorption", "cycle": c, "edge": v[2]})
     return Report(
         command="diagram",
         result={"diagram": ns.name, "mode": ns.mode, "max_len": ns.max_len,
                 "verdict": not witnesses},
         witnesses=witnesses,
-        counts={"paths": rep.paths, "cycles": rep.cycles},
+        counts=_walk_counts(rep),
     )
 
 
@@ -289,8 +297,7 @@ def _cmd_obstruction(ws: Workspace, ns) -> Report:
     }
     if rep.witness is not None:
         result["cycle"] = _cycle_as_json(rep.witness)
-    return Report(command="obstruction", result=result,
-                  counts={"paths": rep.paths, "cycles": rep.cycles})
+    return Report(command="obstruction", result=result, counts=_walk_counts(rep))
 
 
 def _cmd_cycles3(ws: Workspace, ns) -> Report:

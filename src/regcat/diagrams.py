@@ -7,21 +7,55 @@ identity obstructors everywhere, semicommutative ones only demand that every
 edge leaving the base absorbs the obstructor (f∘e = f).
 
 Cycles and paths are enumerated as edge sequences without repeated edges
-(simple in the edge multigraph).  Obstructors of valid semicommutative cycles
-are idempotent, so longer powers of a cycle add nothing.
+(simple in the edge multigraph, *trails*).  Obstructors of valid
+semicommutative cycles are idempotent, so longer powers of a cycle add
+nothing.
 
-Every check reads one walk (``_Walk``).  Its adjacency, each object's
-outgoing edges sorted by name with their codomain and raw table, is built
-once per check.  From a start object the walk visits every simple path of
-up to a given length in preorder, composing each prefix once from its
-parent's table, on its own stack rather than one Python frame per edge.
-Preorder lists the paths of any one length in lexicographic order of their
-edge names, so a stable sort by length alone orders what the checks find by
-(length, base, path): the order of a search that walks each length in turn.
-A check that only needs the first violation cuts the walk to shorter paths
-once it has one.  Absorption f∘e = f is decided once per base and obstructor
-table, since a diagram's many cycles share few obstructors.  A walk that
-composes more path prefixes than its bound raises ``SearchSpaceTooLarge``.
+A verdict that holds is decided on the element graph (the category of
+elements): its states are the pairs (object, element), and each edge f: A → B
+moves (A, x) to (B, f(x)).  From each start (A, x) a breadth-first pass
+finds the states that walks of 1..L edges reach, expanding each state at
+most once, so the work is polynomial in the diagram and stops when no new
+state appears, however large L is.
+
+- Commutative: from each (A, x) every object is reached with at most one
+  value, and A only with x.
+- Semicommutative: every (A, v) reached from (A, x) has f(v) = f(x) for each
+  edge f leaving A.
+- No obstruction at X: every (X, v) reached from (X, x) has v = x.
+
+The trail verdicts (every cycle of at most L edges is the identity or
+absorbed, parallel paths of at most L edges agree) are the same.  Every trail
+is a walk, so a failing trail makes the pass fail.  Conversely, a walk of at
+most L edges that is not a trail visits some object at two positions i < j
+that are not both its ends; take such a pair with j - i least.  The edges from i
+to j form a cycle at that object B which repeats no object, hence a trail of
+at most L edges.  Under commutativity its obstructor is the identity, so
+cutting it out leaves a shorter walk with the same composite.  Under
+semicommutativity, if an edge follows the cycle it leaves B and absorbs the
+obstructor, so the composite is again unchanged; if none follows, the walk
+is closed at A = B, and f∘e∘w = f∘w for the rest w of the walk and each edge
+f leaving A.  Either way the cut walk, of at least one edge, decides the
+same.  Repeating the cut ends at a trail, so the verdicts agree at every
+length bound.  For the obstruction number the pass is one-sided: a closed
+walk at X that moves an element need not be a trail, since no verdict lets
+the cut drop cycles at other objects.  So a failing pass says nothing, and
+only its success answers "no obstruction up to L".
+
+Only when the pass fails do the checks walk the trails (``_Walk``), to name
+the first failure or every violation.  Its adjacency, each object's outgoing
+edges sorted by name with their codomain and raw table, is built once per
+check.  From a start object the walk visits every trail of up to a given
+length in preorder, composing each prefix once from its parent's table, on
+its own stack rather than one Python frame per edge.  Preorder lists the
+paths of any one length in lexicographic order of their edge names, so a
+stable sort by length alone orders what the checks find by (length, base,
+path): the order of a search that walks each length in turn.  A check that
+only needs the first violation cuts the walk to shorter paths once it has
+one.  Absorption f∘e = f is decided once per base and obstructor table,
+since a diagram's many cycles share few obstructors.  The pass that expands
+more states than its bound, or a walk that composes more path prefixes than
+the same bound, raises ``SearchSpaceTooLarge``.
 """
 
 from __future__ import annotations
@@ -105,10 +139,47 @@ class _Walk:
             m = d.edges[name]
             self.out[m.dom.id].append((name, m.cod.id, m.table))
         self.unit = {o: tuple(range(s.cardinality)) for o, s in d.objects.items()}
-        self.bound = bound  # the most path prefixes the walk may compose
+        self.bound = bound  # the most path prefixes, and the most states, the check may take
         self.depth = 0   # the longest paths the walk in progress still visits
         self.paths = 0   # path prefixes composed
         self.cycles = 0  # closed paths checked
+        self.states = 0  # (start element, state) pairs the element-graph pass expanded
+
+    def holds(self, bases: Iterable[str], depth: int, test) -> bool:
+        """Whether ``test(walk, start, reached)`` holds for each element of the bases.
+
+        States are numbered (object, element) pairs: ``element[s]`` is the
+        pair and ``succ[s]`` its images under the object's outgoing edges, in
+        the order of ``out``.  ``reached`` is the set of states that walks of
+        1..depth edges from ``start`` reach, found breadth first, each state
+        expanded at most once.
+        """
+        first, n = {}, 0  # each object's first state
+        for o, unit in self.unit.items():
+            first[o], n = n, n + len(unit)
+        self.element = [(o, v) for o, unit in self.unit.items() for v in unit]
+        self.succ = [[first[end] + t[v] for _, end, t in self.out[o]] for o, v in self.element]
+        return all(test(self, start, self._reach(start, depth))
+                   for base in bases
+                   for start in range(first[base], first[base] + len(self.unit[base])))
+
+    def _reach(self, start: int, depth: int) -> set[int]:
+        succ, reached, frontier = self.succ, set(), [start]
+        for _ in range(depth):  # ends once no new state appears, however large depth is
+            new = []
+            for s in frontier:
+                self.states += 1
+                if self.states > self.bound:
+                    raise SearchSpaceTooLarge(self.states, self.bound, "element states")
+                for t in succ[s]:
+                    if t not in reached:
+                        reached.add(t)
+                        if t != start:  # expanded already
+                            new.append(t)
+            if not new:
+                break
+            frontier = new
+        return reached
 
     def paths_from(
         self, start: str, depth: int, close: Optional[str] = None
@@ -152,6 +223,9 @@ class _Walk:
                 stack.append(iter(out[end]))
             else:
                 path.pop()
+
+    def counts(self) -> tuple[int, int, int]:
+        return self.paths, self.cycles, self.states
 
     def cycles_at(self, base: str, depth: int) -> Iterator[tuple[list[str], tuple[int, ...]]]:
         """The closed paths among ``paths_from(base, depth)``, with their obstructor tables."""
@@ -265,12 +339,12 @@ def obstructor(d: Diagram, c: Cycle) -> ObstructorReport:
     return ObstructorReport(e, e.is_identity(), compose(e, e) == e)
 
 
-# Reports carry the walk's work counters, their last two fields, which take
+# Reports carry the check's work counters, their last three fields, which take
 # no part in equality or hashing.
 def _verdict_eq(self, other) -> bool:
     if other.__class__ is not self.__class__:
         return NotImplemented
-    return self[:-2] == other[:-2]
+    return self[:-3] == other[:-3]
 
 
 def _verdict_ne(self, other) -> bool:
@@ -279,7 +353,31 @@ def _verdict_ne(self, other) -> bool:
 
 
 def _verdict_hash(self) -> int:
-    return hash(self[:-2])
+    return hash(self[:-3])
+
+
+# The element-graph tests, one per verdict, of a start state and the states it reaches.
+
+
+def _commutes(walk: _Walk, start: int, reached: set[int]) -> bool:
+    """Each object is reached with at most one value, the start's own only with the start's."""
+    element = walk.element
+    ends = {element[start][0]: start}
+    return all(ends.setdefault(element[s][0], s) == s for s in reached)
+
+
+def _absorbs(walk: _Walk, start: int, reached: set[int]) -> bool:
+    """Each edge leaving the start's object takes every value reached there to the start's image."""
+    element, images = walk.element, walk.succ[start]
+    base = element[start][0]
+    return all(walk.succ[s] == images for s in reached if element[s][0] == base)
+
+
+def _returns(walk: _Walk, start: int, reached: set[int]) -> bool:
+    """The start's object is reached only with the start's own value."""
+    element = walk.element
+    base = element[start][0]
+    return all(s == start for s in reached if element[s][0] == base)
 
 
 class CommutativityReport(NamedTuple):
@@ -287,6 +385,7 @@ class CommutativityReport(NamedTuple):
     violations: tuple[tuple, ...]  # at most one per violation class
     paths: int = 0
     cycles: int = 0
+    states: int = 0
 
     __eq__, __ne__, __hash__ = _verdict_eq, _verdict_ne, _verdict_hash
 
@@ -302,13 +401,16 @@ def is_commutative(
     before it agrees with that one, or the check would have stopped.
     """
     walk = _Walk(d, max_space)
-    cycle, pair = _first_failures(walk, sorted(d.objects), max_len, pairs=True)
+    bases = sorted(d.objects)
+    if walk.holds(bases, max_len, _commutes):
+        return CommutativityReport(True, (), *walk.counts())
+    cycle, pair = _first_failures(walk, bases, max_len, pairs=True)
     violations: list[tuple] = []
     if cycle is not None:
         violations.append(("cycle", cycle))
     if pair is not None:
         violations.append(("parallel_paths", *pair))
-    return CommutativityReport(not violations, tuple(violations), walk.paths, walk.cycles)
+    return CommutativityReport(not violations, tuple(violations), *walk.counts())
 
 
 class SemicommutativityReport(NamedTuple):
@@ -316,6 +418,7 @@ class SemicommutativityReport(NamedTuple):
     violations: tuple[tuple, ...]
     paths: int = 0
     cycles: int = 0
+    states: int = 0
 
     __eq__, __ne__, __hash__ = _verdict_eq, _verdict_ne, _verdict_hash
 
@@ -330,9 +433,12 @@ def is_semicommutative(
     worked out once per pair.
     """
     walk = _Walk(d, max_space)
+    bases = sorted(d.objects)
+    if walk.holds(bases, max_len, _absorbs):
+        return SemicommutativityReport(True, (), *walk.counts())
     violations: list[tuple] = []
     failing: dict[tuple[str, tuple[int, ...]], list[str]] = {}
-    for base in sorted(d.objects):
+    for base in bases:
         for path, e in walk.cycles_at(base, max_len):
             bad = failing.get((base, e))
             if bad is None:
@@ -344,7 +450,7 @@ def is_semicommutative(
                 c = Cycle(base, tuple(path))
                 violations.extend(("absorption", c, name) for name in bad)
     violations.sort(key=lambda v: v[1].length)
-    return SemicommutativityReport(not violations, tuple(violations), walk.paths, walk.cycles)
+    return SemicommutativityReport(not violations, tuple(violations), *walk.counts())
 
 
 class ObstructionReport(NamedTuple):
@@ -352,6 +458,7 @@ class ObstructionReport(NamedTuple):
     witness: Optional[Cycle]
     paths: int = 0
     cycles: int = 0
+    states: int = 0
 
     __eq__, __ne__, __hash__ = _verdict_eq, _verdict_ne, _verdict_hash
 
@@ -363,8 +470,10 @@ def obstruction_number(
     if X not in d.objects:
         raise UnknownObject(X)
     walk = _Walk(d, max_space)
+    if walk.holds([X], max_n, _returns):  # one-sided: a failing walk need not be a trail
+        return ObstructionReport(None, None, *walk.counts())
     c, _ = _first_failures(walk, [X], max_n, pairs=False)
-    return ObstructionReport(None if c is None else c.length, c, walk.paths, walk.cycles)
+    return ObstructionReport(None if c is None else c.length, c, *walk.counts())
 
 
 # --- regular 3-cycles ---------------------------------------------------------

@@ -21,6 +21,17 @@ TRIANGLE = str(FIXTURES / "triangle.rcw")
 BRAID = str(FIXTURES / "braid.rcw")
 
 
+# p, q: A -> B disagree, r: B -> A, s: a constant loop at B
+PQ = """set A = { a0, a1 }
+set B = { b0, b1 }
+map p : A -> B { a0 -> b0, a1 -> b1 }
+map q : A -> B { a0 -> b1, a1 -> b0 }
+map r : B -> A { b0 -> a0, b1 -> a1 }
+map s : B -> B { b0 -> b0, b1 -> b0 }
+diagram D { p, q, r, s }
+"""
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -163,20 +174,30 @@ class TestDiagramCommands:
         assert c["obstructor"] == {"x0": "x0", "x1": "x1", "x2": "x1"}
 
     @pytest.mark.parametrize("argv, counts", [
+        # the triangle holds: the element pass decides, and no trail is walked
         (("diagram", TRIANGLE, "--name", "D", "--mode", "semicommutative", "--max-len", "3"),
-         {"paths": 9, "cycles": 3}),
+         {"paths": 0, "cycles": 0, "states": 21}),
+        # the pass fails at the third element of X, then the walk names the cycle
         (("diagram", TRIANGLE, "--name", "D", "--mode", "commutative", "--max-len", "3"),
-         {"paths": 9, "cycles": 1}),
+         {"paths": 9, "cycles": 1, "states": 9}),
         (("obstruction", TRIANGLE, "--name", "D", "--object", "X", "--max-n", "5"),
-         {"paths": 3, "cycles": 1}),
+         {"paths": 3, "cycles": 1, "states": 10}),
+        # p, q: A -> B disagree, so the pass stops after 4 states; the walk then
+        # composes 8 prefixes to find the first disagreeing pair
+        (("diagram", "<pq>", "--name", "D", "--mode", "commutative", "--max-len", "3"),
+         {"paths": 8, "cycles": 4, "states": 4}),
     ])
-    def test_walk_counters(self, capsys, argv, counts):
-        # prefixes composed and closed paths checked, the same on every run
+    def test_walk_counters(self, capsys, tmp_path, argv, counts):
+        # prefixes composed, closed paths checked and states expanded, the same on every run
+        pq = tmp_path / "pq.rcw"
+        pq.write_text(PQ)
+        argv = [str(pq) if a == "<pq>" else a for a in argv]
         runs = [run_json(capsys, *argv)[1]["counts"] for _ in range(2)]
         assert runs == [counts, counts]
 
     @pytest.mark.parametrize("argv, paths", [
-        (("diagram", TRIANGLE, "--name", "D", "--mode", "semicommutative", "--max-len", "3"), 9),
+        # the triangle holds: the element pass decides, and no trail is walked
+        (("diagram", TRIANGLE, "--name", "D", "--mode", "semicommutative", "--max-len", "3"), 0),
         (("diagram", TRIANGLE, "--name", "D", "--mode", "commutative", "--max-len", "3"), 9),
         (("obstruction", TRIANGLE, "--name", "D", "--object", "X", "--max-n", "5"), 3),
         # each of the functor's two walks, source and target, composes 9 prefixes
@@ -184,12 +205,27 @@ class TestDiagramCommands:
           "--maps", "f=f,g=g,h=h", "--n", "3"), 9),
         # three bases, each with paths of one and two edges and one closed path of three
         (("cycles3", TRIANGLE, "--name", "D"), 9),
+        # more prefixes than states: the walk alone exceeds a bound below 8
+        (("diagram", "<pq>", "--name", "D", "--mode", "commutative", "--max-len", "3"), 8),
     ])
-    def test_max_space_bounds_the_walk(self, capsys, argv, paths):
-        # a walk may compose as many path prefixes as the bound, and no more
-        code, _ = run(capsys, *argv)
-        assert run(capsys, *argv, "--max-space", str(paths))[0] == code
-        assert run(capsys, *argv, "--max-space", str(paths - 1)) == (3, "")
+    def test_max_space_bounds_the_walk(self, capsys, tmp_path, argv, paths):
+        # the element pass may expand as many states as the bound, and the trail
+        # walk compose as many path prefixes, each on its own, and no more
+        pq = tmp_path / "pq.rcw"
+        pq.write_text(PQ)
+        argv = [str(pq) if a == "<pq>" else a for a in argv]
+        code, rep = run_json(capsys, *argv)
+        states = rep["counts"].get("states", 0)
+        assert rep["counts"].get("paths", paths) == paths
+        assert run(capsys, *argv, "--max-space", str(max(states, paths)))[0] == code
+        for count, unit in ((states, "element states"), (paths, "path prefixes")):
+            if count:
+                bound = count - 1
+                # the pass runs first, so it refuses first when both exceed the bound
+                unit = "element states" if states > bound else unit
+                assert main([*argv, "--max-space", str(bound)]) == 3
+                assert capsys.readouterr() == (
+                    "", f"error: search space of {bound + 1} {unit} exceeds the bound {bound}\n")
 
     def test_long_ring_needs_no_recursion(self, tmp_path, capsys):
         # 1,200 one-element objects in a ring: the only cycle has 1,200 edges
@@ -199,14 +235,25 @@ class TestDiagramCommands:
         lines.append("diagram L { " + ", ".join(f"l{i}" for i in range(n)) + " }")
         ring = tmp_path / "ring.rcw"
         ring.write_text("\n".join(lines) + "\n")
+        # the ring holds on the element graph: each start reaches every object once
         code, rep = run_json(capsys, "obstruction", str(ring), "--name", "L",
                              "--object", "O0", "--max-n", str(n))
         assert code == 0 and rep["result"]["n_obstr"] is None
-        assert rep["counts"] == {"paths": n, "cycles": 1}
+        assert rep["counts"] == {"paths": 0, "cycles": 0, "states": n}
         code, rep = run_json(capsys, "diagram", str(ring), "--name", "L",
                              "--mode", "commutative", "--max-len", str(n))
         assert code == 0 and rep["result"]["verdict"]
-        assert rep["counts"] == {"paths": n * n, "cycles": n}
+        assert rep["counts"] == {"paths": 0, "cycles": 0, "states": n * n}
+        # a second element at O0 that the cycle moves: the pass fails, and the
+        # trail walk goes once round the ring to name the 1,200-edge cycle
+        lines[0] = "set O0 = { o0, p0 }"
+        lines[n] = "map l0 : O0 -> O1 { o0 -> o1, p0 -> o1 }"
+        ring.write_text("\n".join(lines) + "\n")
+        code, rep = run_json(capsys, "obstruction", str(ring), "--name", "L",
+                             "--object", "O0", "--max-n", str(n))
+        assert code == 0 and rep["result"]["n_obstr"] == n
+        # o0 goes round once; p0 goes round to o0, whose next step is known
+        assert rep["counts"] == {"paths": n, "cycles": 1, "states": 2 * n}
 
     @pytest.mark.parametrize("argv, code", [
         (("diagram", TRIANGLE, "--name", "D", "--mode", "semicommutative", "--max-len"), 0),
@@ -457,6 +504,15 @@ def test_any_value_is_written_as_the_indented_dump(value):
     assert cli._indented_json(value) == json.dumps(value, indent=2)
 
 
+@given(_containers_with(ANY_KEYS)(_values(ANY_KEYS)), _values(ANY_KEYS))
+def test_a_shared_container_is_written_as_the_indented_dump(shared, other):
+    # one container repeated within a level and at three depths, as the
+    # witnesses of one cycle share its dict; each copy takes its depth's indent
+    value = [shared, {"a": shared, "b": [shared, other, shared]}, shared, other]
+    assert cli._indented_json(value) == json.dumps(value, indent=2)
+    assert cli._indented_json([value, value]) == json.dumps([value, value], indent=2)
+
+
 @pytest.mark.parametrize("key", [(1, 2), b"k", frozenset()])
 def test_a_key_json_cannot_write_is_refused_as_json_refuses_it(key):
     with pytest.raises(TypeError) as want:
@@ -550,14 +606,17 @@ class TestExitCodes:
             assert f"error: {bad}: " in err
 
     @pytest.mark.parametrize("argv, counted", [
-        (("diagram", TRIANGLE, "--name", "D", "--mode", "semicommutative", "--max-len", "3",
-          "--max-space", "8"), "9 path prefixes exceeds the bound 8\n"),
+        (("functor", TRIANGLE, "--from", "D", "--to", "D", "--objects", "X=X,Y=Y,Z=Z",
+          "--maps", "f=f,g=g,h=h", "--n", "3", "--max-space", "8"),
+         "9 path prefixes exceeds the bound 8\n"),
         (("ybe", "--size", "2", "--mode", "classical", "--count-only", "--max-space", "3"),
          "4 candidate tables exceeds the bound 3\n"),
         (("inverses", MAPS, "--map", "f", "--kind", "inner", "--max-space", "2"),
          "3^2 candidate maps exceeds the bound 2; pass a limit to truncate\n"),
         (("chain", MAPS, "--map", "f", "--n", "2", "--search", "--max-space", "2"),
          "3^2*2^3 candidate towers exceeds the bound 2; pass a limit to truncate\n"),
+        (("diagram", TRIANGLE, "--name", "D", "--mode", "semicommutative", "--max-len", "3",
+          "--max-space", "8"), "9 element states exceeds the bound 8\n"),
     ])
     def test_bound_names_what_it_counts(self, argv, counted, capsys):
         assert main(list(argv)) == 3

@@ -1,6 +1,8 @@
 import random
 import time
 import tracemalloc
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,12 +19,18 @@ from helpers import (
     oracle_obstruction_number,
     oracle_regular_3cycles,
 )
+from regcat import cli
 from regcat.core import FiniteSet, compose, compose_path, identity, tensor
 from regcat.diagrams import (
     Cycle,
     Diagram,
     FunctorData,
     RegularThreeCycle,
+    _absorbs,
+    _commutes,
+    _first_failures,
+    _returns,
+    _Walk,
     all_cycles,
     check_regular_functor,
     cycles_at,
@@ -319,25 +327,33 @@ class TestWalk:
         assert rep == oracle_is_semicommutative(d, 1)
 
     def test_long_cycle(self):
-        # the walk keeps no Python frame per edge
+        # the walk keeps no Python frame per edge; the ring holds on the
+        # element graph, so the check itself walks no trail
         n = 3000
         d = ring(n)
         rep = obstruction_number(d, "O0", n)
-        assert rep.n_obstr is None and (rep.paths, rep.cycles) == (n, 1)
+        assert rep.n_obstr is None and (rep.paths, rep.cycles, rep.states) == (0, 0, n)
+        walk = _Walk(d)
+        assert _first_failures(walk, ["O0"], n, pairs=False) == (None, None)
+        assert (walk.paths, walk.cycles) == (n, 1)
         assert [c.length for c in cycles_at(d, "O0", n)] == [n]
 
     def test_ring_walk_keeps_no_path_per_end(self):
         # each of the 300 ends is reached first by a path of up to 300 edges; the
         # walk keeps it as a link to its parent, not as a tuple of 150 names on average
+        # the ring holds on the element graph, so the trail walk is called directly
         d = ring(300)
+        walk = _Walk(d)
         tracemalloc.start()
         try:
-            rep = is_commutative(d, 300)
+            found = _first_failures(walk, sorted(d.objects), 300, pairs=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rep.commutative and rep.paths == 300 * 300
+        assert found == (None, None) and walk.paths == 300 * 300
         assert peak < 300_000
+        rep = is_commutative(d, 300)
+        assert rep.commutative and (rep.paths, rep.cycles, rep.states) == (0, 0, 300 * 300)
 
     @pytest.mark.parametrize("check", [
         is_semicommutative,
@@ -409,6 +425,69 @@ def diagrams(draw, prefix="O", max_objects=3, max_edges=5):
 @given(diagrams(), st.integers(1, 4))
 def test_walk_matches_oracle(d, max_len):
     assert_walk_matches_oracle(d, max_len)
+
+
+@st.composite
+def element_diagrams(draw):
+    """Up to 3 objects of 0..3 elements and up to 6 edges, loops and parallels
+    included, each a random table, a permutation, or σ_b∘σ_a⁻¹ for one drawn
+    permutation σ per object, so that commuting parts occur."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    objs = [S(f"O{i}", n) for i, n in enumerate(sizes)]
+    sigma = [draw(st.permutations(range(n))) for n in sizes]
+    edges = []
+    for k in range(draw(st.integers(0, 6))):
+        a = draw(st.integers(0, len(objs) - 1))
+        b = draw(st.sampled_from([i for i, n in enumerate(sizes) if n or not sizes[a]]))
+        kinds = ["table", "permutation", "commuting"] if sizes[a] == sizes[b] else ["table"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "permutation":
+            table = draw(st.permutations(range(sizes[a])))
+        elif kind == "commuting":
+            table = [sigma[b][sigma[a].index(x)] for x in range(sizes[a])]
+        else:
+            table = draw(st.lists(st.integers(0, max(sizes[b] - 1, 0)),
+                                  min_size=sizes[a], max_size=sizes[a]))
+        edges.append(fm(f"e{k}", objs[a], objs[b], table))
+    return Diagram.build(objs, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(element_diagrams(), st.integers(1, 6))
+def test_element_graph_verdicts_match_the_trail_oracles(d, max_len):
+    # the walks of at most max_len edges decide as the trails do; the trail
+    # walk that follows a failing pass reports what the oracles report
+    bases = sorted(d.objects)
+    commutative = oracle_is_commutative(d, max_len)
+    assert _Walk(d).holds(bases, max_len, _commutes) == commutative.commutative
+    assert is_commutative(d, max_len) == commutative
+    semicommutative = oracle_is_semicommutative(d, max_len)
+    assert _Walk(d).holds(bases, max_len, _absorbs) == semicommutative.semicommutative
+    assert is_semicommutative(d, max_len) == semicommutative
+    for base in bases:
+        obstruction = oracle_obstruction_number(d, base, max_len)
+        if _Walk(d).holds([base], max_len, _returns):  # one-sided
+            assert obstruction.n_obstr is None
+        assert obstruction_number(d, base, max_len) == obstruction
+
+
+@settings(max_examples=100, deadline=None)
+@given(element_diagrams(), st.integers(1, 6), st.sampled_from(["commutative", "semicommutative"]))
+def test_a_failing_check_prints_what_the_trail_walk_alone_prints(d, max_len, mode):
+    # with the pass made to fail, only the trail walk decides; a failing
+    # diagram prints the same bytes either way, but for the states the pass
+    # expanded
+    check = is_commutative if mode == "commutative" else is_semicommutative
+    if getattr(check(d, max_len), mode):
+        return
+    ns = SimpleNamespace(name="D", mode=mode, max_len=max_len, max_space=10**8)
+    ws = SimpleNamespace(build_diagram=lambda name: d)
+    got = cli._cmd_diagram(ws, ns)
+    with patch.object(_Walk, "holds", lambda *args: False):
+        want = cli._cmd_diagram(ws, ns)
+    assert got.counts["states"] > 0 and want.counts["states"] == 0
+    want.counts["states"] = got.counts["states"]
+    assert got.to_json() == want.to_json()
 
 
 @st.composite
