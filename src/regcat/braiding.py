@@ -168,22 +168,6 @@ def composite_prebraid(
     raise ValueError(f"unknown composite kind {which!r}")
 
 
-def ybe_side_maps(b: Braiding, e: FinMap) -> tuple[FinMap, FinMap]:
-    """Both sides of the regularized YBE as maps on X³, built from prebraids.
-
-    Single-carrier only; serves as the compositional route against which the
-    triple kernel of check_ybe can be cross-checked.
-    """
-    if b.left.id != b.right.id:
-        raise TypeMismatch(b.left.id, b.right.id, "single-carrier check")
-    X = b.left
-    bl = prebraid(b, "L", e, (X, X, X))
-    br = prebraid(b, "R", e, (X, X, X))
-    lhs = compose(br, compose(bl, br))
-    rhs = compose(bl, compose(br, bl))
-    return lhs, rhs
-
-
 # --- Yang-Baxter on a single carrier -------------------------------------------
 
 

@@ -158,9 +158,6 @@ class Subset(_Record):
                 raise SubsetDomainMismatch(f"index {i} outside {of.id!r}")
         self._fill(of, members)
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.of.label(i) for i in sorted(self.members))
-
     def key(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
@@ -322,24 +319,16 @@ def check_subset_regularity(f: FinMap, g: FinMap, mode: str) -> SubsetRegularity
 
 
 def all_maps(
-    dom: FiniteSet,
-    cod: FiniteSet,
-    prefix: str = "m",
-    columns: Optional[Sequence[Optional[Sequence[int]]]] = None,
+    dom: FiniteSet, cod: FiniteSet, prefix: str, columns: Sequence[Optional[Sequence[int]]]
 ) -> Iterator[FinMap]:
-    """Every map dom -> cod in lexicographic table order.
+    """Every map dom -> cod whose table lies in the product of ``columns``, in lex order.
 
-    ``columns``, when given, has one entry per element of dom: the ascending
-    codomain indices allowed there, or None for all of them.  The maps yielded
-    are then exactly the tables in the product of the columns, still in lex
-    order, and an empty column yields none.
+    ``columns`` has one entry per element of dom: the ascending codomain
+    indices allowed there, or None for all of them.  An empty column yields
+    no map.
     """
     whole = range(cod.cardinality)
-    if columns is None:
-        columns = [whole] * dom.cardinality
-    else:
-        columns = [whole if c is None else c for c in columns]
-    for k, table in enumerate(product(*columns)):
+    for k, table in enumerate(product(*[whole if c is None else c for c in columns])):
         yield FinMap(f"{prefix}{k}", dom, cod, table)
 
 

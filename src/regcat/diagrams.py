@@ -322,12 +322,6 @@ def cycles_at(d: Diagram, base: str, length: int) -> Iterator[Cycle]:
             yield c
 
 
-def all_cycles(d: Diagram, max_len: int) -> Iterator[Cycle]:
-    """Simple cycles of 1..max_len edges by (length, base, path)."""
-    for c, _ in _cycles(_Walk(d), sorted(d.objects), max_len):
-        yield c
-
-
 class ObstructorReport(NamedTuple):
     e: FinMap
     is_identity: bool

@@ -140,17 +140,15 @@ def parse_workspace(source: str) -> Workspace:
     ws = Workspace()
     while p.peek().kind != "eof":
         tok = p.peek()
-        if tok.kind != "name" or tok.value not in ("set", "map", "diagram", "braiding"):
+        if tok.kind != "name" or tok.value not in _DECLARATIONS:
             raise DslSyntaxError(tok.line, tok.col, "'set', 'map', 'diagram' or 'braiding'")
-        kw = p.name("declaration keyword")
-        if kw == "set":
-            _parse_set(p, ws)
-        elif kw == "map":
-            _parse_map(p, ws)
-        elif kw == "diagram":
-            _parse_diagram(p, ws)
-        else:
-            _parse_braiding(p, ws)
+        p.take("name")
+        field, parse = _DECLARATIONS[tok.value]
+        name = p.name(f"{tok.value} name")
+        declared = getattr(ws, field)
+        if name in declared:
+            raise DuplicateName(name)
+        declared[name] = parse(p, ws, name)
     return ws
 
 
@@ -178,15 +176,12 @@ def _map_from_pairs(
         raise UnknownReference(exc.label) from None
 
 
-def _parse_set(p: _Parser, ws: Workspace) -> None:
-    name = p.name("set name")
-    if name in ws.sets:
-        raise DuplicateName(name)
+def _parse_set(p: _Parser, ws: Workspace, name: str) -> FiniteSet:
     p.punct("=")
     labels = _items(p, lambda p: p.name("element label"))
     if len(set(labels)) != len(labels):
         raise DuplicateName(next(l for i, l in enumerate(labels) if l in labels[:i]))
-    ws.sets[name] = FiniteSet(name, tuple(labels))
+    return FiniteSet(name, tuple(labels))
 
 
 def _map_pair(p: _Parser) -> tuple[str, str]:
@@ -195,35 +190,26 @@ def _map_pair(p: _Parser) -> tuple[str, str]:
     return src, p.name("codomain element")
 
 
-def _parse_map(p: _Parser, ws: Workspace) -> None:
-    name = p.name("map name")
-    if name in ws.maps:
-        raise DuplicateName(name)
+def _parse_map(p: _Parser, ws: Workspace, name: str) -> FinMap:
     p.punct(":")
     dom = ws.require_set(p.name("domain set"))
     p.punct("->")
     cod = ws.require_set(p.name("codomain set"))
-    ws.maps[name] = _map_from_pairs(name, dom, cod, _items(p, _map_pair))
+    return _map_from_pairs(name, dom, cod, _items(p, _map_pair))
 
 
-def _parse_diagram(p: _Parser, ws: Workspace) -> None:
-    name = p.name("diagram name")
-    if name in ws.diagrams:
-        raise DuplicateName(name)
+def _parse_diagram(p: _Parser, ws: Workspace, name: str) -> tuple[str, ...]:
     members = _items(p, lambda p: p.name("member map name"))
     for m in members:
         ws.require_map(m)
     if len(set(members)) != len(members):
         raise DuplicateName(next(m for i, m in enumerate(members) if m in members[:i]))
-    ws.diagrams[name] = tuple(sorted(members))
+    return tuple(sorted(members))
 
 
-def _parse_braiding(p: _Parser, ws: Workspace) -> None:
+def _parse_braiding(p: _Parser, ws: Workspace, name: str) -> Braiding:
     from .braiding import Braiding
 
-    name = p.name("braiding name")
-    if name in ws.braidings:
-        raise DuplicateName(name)
     p.punct(":")
     left = ws.require_set(p.name("left factor set"))
     p.punct("*")
@@ -249,7 +235,16 @@ def _parse_braiding(p: _Parser, ws: Workspace) -> None:
 
     dom, cod = ProductSet.of(left, right), ProductSet.of(right, left)
     m = _map_from_pairs(name, dom.carrier, cod.carrier, _items(p, pair))
-    ws.braidings[name] = Braiding(left, right, m)
+    return Braiding(left, right, m)
+
+
+# each keyword's Workspace field and the parser of what follows the declared name
+_DECLARATIONS = {
+    "set": ("sets", _parse_set),
+    "map": ("maps", _parse_map),
+    "diagram": ("diagrams", _parse_diagram),
+    "braiding": ("braidings", _parse_braiding),
+}
 
 
 # --- rendering ----------------------------------------------------------------

@@ -1,20 +1,26 @@
-"""Shared builders and brute-force oracles for the test suite.
+"""Shared builders, brute-force oracles and test-only routes for the test suite.
 
 Oracles here are deliberately naive (full enumeration, pointwise filters) so
-they stay independent of the library code paths they check.
+they stay independent of the library code paths they check.  The library
+runs none of this module: ``all_cycles`` lists the library walk's cycles for
+the tests, and ``ybe_side_maps`` is the compositional route to the YBE.
 """
 
 from itertools import product
 
-from regcat.braiding import YbeResult, _solve_branch, _ybe_sides
+from regcat.braiding import Braiding, YbeResult, _solve_branch, _ybe_sides, prebraid
 from regcat.core import FinMap, FiniteSet, compose, compose_path
 from regcat.diagrams import (
     CommutativityReport,
     Cycle,
+    Diagram,
     ObstructionReport,
     RegularThreeCycle,
     SemicommutativityReport,
+    _cycles,
+    _Walk,
 )
+from regcat.errors import TypeMismatch
 
 
 def S(sid: str, n: int) -> FiniteSet:
@@ -140,6 +146,13 @@ def oracle_all_cycles(d, max_len):
             yield from oracle_cycles_at(d, base, n)
 
 
+def all_cycles(d: Diagram, max_len: int):
+    """Simple cycles of 1..max_len edges by (length, base, path), from the
+    library's own walk; the tests hold it to oracle_all_cycles."""
+    for c, _ in _cycles(_Walk(d), sorted(d.objects), max_len):
+        yield c
+
+
 def oracle_is_commutative(d, max_len):
     violations = []
     for c in oracle_all_cycles(d, max_len):
@@ -263,6 +276,22 @@ def oracle_functor_composition(fd):
 
 
 # --- YBE verdict oracle -------------------------------------------------------------
+
+
+def ybe_side_maps(b: Braiding, e: FinMap) -> tuple[FinMap, FinMap]:
+    """Both sides of the regularized YBE as maps on X³, built from prebraids.
+
+    Single-carrier only; the compositional route against which the triple
+    kernel of check_ybe is cross-checked.
+    """
+    if b.left.id != b.right.id:
+        raise TypeMismatch(b.left.id, b.right.id, "single-carrier check")
+    X = b.left
+    bl = prebraid(b, "L", e, (X, X, X))
+    br = prebraid(b, "R", e, (X, X, X))
+    lhs = compose(br, compose(bl, br))
+    rhs = compose(bl, compose(br, bl))
+    return lhs, rhs
 
 
 def oracle_check_ybe(b, e):

@@ -12,7 +12,8 @@ from itertools import permutations, product
 from pathlib import Path
 
 from helpers import (
-    S, fm, full_ybe_search, generalized_pairs, kernel_ybe_search, maps_between, naive_inverses,
+    S, all_cycles, fm, full_ybe_search, generalized_pairs, kernel_ybe_search, maps_between,
+    naive_inverses,
 )
 from regcat.braiding import (
     YbeProblem,
@@ -27,7 +28,6 @@ from regcat.core import compose, identity
 from regcat.diagrams import (
     Diagram,
     FunctorData,
-    all_cycles,
     check_regular_functor,
     find_regular_3cycles,
     is_commutative,

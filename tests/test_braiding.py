@@ -18,6 +18,7 @@ from helpers import (
     naive_is_inner,
     oracle_check_ybe,
     pointwise_compose,
+    ybe_side_maps,
 )
 from regcat import braiding
 from regcat.braiding import (
@@ -41,7 +42,6 @@ from regcat.braiding import (
     enumerate_idempotents,
     prebraid,
     solve_ybe,
-    ybe_side_maps,
 )
 from regcat.core import FinMap, ProductSet, identity
 from regcat.errors import NotIdempotent, SearchSpaceTooLarge, TypeMismatch

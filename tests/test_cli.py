@@ -388,6 +388,88 @@ class TestBraidCommands:
         assert json.dumps(one) == json.dumps(two)
 
 
+# S's identity i and swap t go to T's constant k and swap w: the composites
+# t∘i, i∘t and t∘t miss their images, i is not sent to an identity, and each
+# 2-cycle at A is sent to a path that differs from the other 2-cycle at B
+FUNCTOR = """set A = { a0, a1 }
+set B = { b0, b1 }
+map i : A -> A { a0 -> a0, a1 -> a1 }
+map t : A -> A { a0 -> a1, a1 -> a0 }
+map k : B -> B { b0 -> b0, b1 -> b0 }
+map w : B -> B { b0 -> b1, b1 -> b0 }
+diagram S { i, t }
+diagram T { k, w }
+"""
+
+# swap is not regular with the constant flat, and bad breaks the YBE for the identity
+BRAIDINGS = """set A = { a0, a1 }
+map idA : A -> A { a0 -> a0, a1 -> a1 }
+braiding swap : A * A { (a0, a0) -> (a0, a0), (a0, a1) -> (a1, a0),
+                        (a1, a0) -> (a0, a1), (a1, a1) -> (a1, a1) }
+braiding flat : A * A { (a0, a0) -> (a0, a0), (a0, a1) -> (a0, a0),
+                        (a1, a0) -> (a0, a0), (a1, a1) -> (a0, a0) }
+braiding bad : A * A { (a0, a0) -> (a0, a1), (a0, a1) -> (a0, a0),
+                       (a1, a0) -> (a0, a0), (a1, a1) -> (a0, a0) }
+"""
+
+# P = f∘s is the 3-cycle f itself; P = g∘k is the constant b, idempotent but not absorbing
+PROJECTORS = """set X = { a, b, c }
+map f : X -> X { a -> b, b -> c, c -> a }
+map s : X -> X { a -> a, b -> b, c -> c }
+map g : X -> X { a -> b, b -> a, c -> c }
+map k : X -> X { a -> a, b -> a, c -> a }
+"""
+
+
+def _cycle(base, *edges):
+    return {"base": base, "edges": list(edges)}
+
+
+class TestFailureWitnesses:
+    # each command's --json report when its check fails, pinned byte for byte
+
+    @pytest.mark.parametrize("workspace, argv, result, witnesses", [
+        (FUNCTOR, ["functor", "--from", "S", "--to", "T", "--objects", "A=B",
+                   "--maps", "i=k,t=w", "--n", "2"],
+         {"from": "S", "to": "T", "n": 2, "composition_preserved": False,
+          "e_preserved": False},
+         [{"kind": "composition", "edges": ["t", "t"], "composite": "i"},
+          {"kind": "composition", "edges": ["i", "t"], "composite": "t"},
+          {"kind": "composition", "edges": ["t", "i"], "composite": "t"},
+          {"kind": "identity", "edge": "i"},
+          {"kind": "obstructor", "source_cycle": _cycle("A", "i", "t"),
+           "target_cycle": _cycle("B", "w", "k")},
+          {"kind": "obstructor", "source_cycle": _cycle("A", "t", "i"),
+           "target_cycle": _cycle("B", "k", "w")}]),
+        (BRAIDINGS, ["braid-check", "--braiding", "swap", "--star", "flat"],
+         {"braiding": "swap", "bijective": True, "regular_with_star": False},
+         [{"kind": "regularity", "star": "flat"}]),
+        (BRAIDINGS, ["braid-check", "--braiding", "bad", "--e", "idA"],
+         {"braiding": "bad", "bijective": False,
+          "canonical_star": {"(a0,a0)": "(a0,a1)", "(a0,a1)": "(a0,a0)",
+                             "(a1,a0)": "(a0,a0)", "(a1,a1)": "(a0,a0)"},
+          "regular_with_canonical_star": True, "ybe_holds": False},
+         [{"kind": "ybe", "triple": ["a0", "a0", "a0"]}]),
+        (PROJECTORS, ["projector", "--map", "f", "--stars", "s"],
+         {"map": "f", "order": 1, "side": "codomain", "idempotent": False,
+          "absorption": False, "projector": {"a": "b", "b": "c", "c": "a"}},
+         [{"projector": {"a": "b", "b": "c", "c": "a"}}]),
+        (PROJECTORS, ["projector", "--map", "g", "--stars", "k"],
+         {"map": "g", "order": 1, "side": "codomain", "idempotent": True,
+          "absorption": False, "projector": {"a": "b", "b": "b", "c": "b"}},
+         [{"projector": {"a": "b", "b": "b", "c": "b"}}]),
+    ], ids=["functor", "braid-check-star", "braid-check-e", "projector-not-idempotent",
+            "projector-not-absorbing"])
+    def test_json_report_of_a_failure(self, workspace, argv, result, witnesses, tmp_path,
+                                      capsys):
+        path = tmp_path / "w.rcw"
+        path.write_text(workspace)
+        code, out = run(capsys, argv[0], str(path), *argv[1:], "--json")
+        report = {"command": argv[0], "ok": False, "result": result,
+                  "witnesses": witnesses, "counts": {}}
+        assert (code, out) == (1, json.dumps(report, indent=2) + "\n")
+
+
 class TestTopLevel:
     def test_missing_file(self, capsys):
         code = main(["check-map", "--map", "f"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     S,
+    all_cycles,
     fm,
     oracle_all_cycles,
     oracle_cycles_at,
@@ -31,7 +32,6 @@ from regcat.diagrams import (
     _first_failures,
     _returns,
     _Walk,
-    all_cycles,
     check_regular_functor,
     cycles_at,
     find_regular_3cycles,

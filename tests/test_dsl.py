@@ -95,6 +95,39 @@ class TestParseErrors:
         with pytest.raises(DuplicateName):
             parse_workspace("set X = { a, a }")
 
+    # a body the parser would reject shows that the name is checked first
+    @pytest.mark.parametrize("first, again", [
+        ("set D = { d }", "set D = { a, a }"),
+        ("map D : A -> A { a -> a, b -> b }", "map D : Nowhere -> A { a -> a }"),
+        ("map f : A -> A { a -> a, b -> b }\ndiagram D { f }", "diagram D { nothing }"),
+        ("braiding D : A * A { (a, a) -> (a, a), (a, b) -> (a, b), (b, a) -> (b, a),"
+         " (b, b) -> (b, b) }", "braiding D : Nowhere * A { (a, a) -> (a, a) }"),
+    ], ids=["set", "map", "diagram", "braiding"])
+    def test_a_name_declared_twice_is_refused_before_its_body(self, first, again):
+        with pytest.raises(DuplicateName) as exc:
+            parse_workspace(f"set A = {{ a, b }}\n{first}\n{again}\n")
+        assert (exc.value.name, str(exc.value)) == ("D", "name 'D' declared twice")
+
+    def test_kinds_have_separate_names(self):
+        ws = parse_workspace(
+            "set A = { a }\nmap A : A -> A { a -> a }\ndiagram A { A }\n"
+            "braiding A : A * A { (a, a) -> (a, a) }\n"
+        )
+        kinds = (ws.sets, ws.maps, ws.diagrams, ws.braidings)
+        assert [list(kind) for kind in kinds] == [["A"]] * 4
+
+    @pytest.mark.parametrize("source, message", [
+        ("set = { a }", "line 1, column 5: expected set name"),
+        ("set A = { a }\nmap -> A", "line 2, column 5: expected map name"),
+        ("diagram\n  { f }", "line 2, column 3: expected diagram name"),
+        ("braiding (", "line 1, column 10: expected braiding name"),
+        ("set A = { a }\nbraiding", "line 2, column 9: expected braiding name"),
+    ])
+    def test_a_keyword_needs_a_name(self, source, message):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_workspace(source)
+        assert str(exc.value) == message
+
     def test_duplicate_map_pair(self):
         with pytest.raises(AssignedTwice) as exc:
             parse_workspace("set X = { a }\nmap f : X -> X { a -> a, a -> a }")
