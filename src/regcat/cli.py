@@ -2,17 +2,19 @@
 
 Exit codes: 0 the checked property holds / the search completed, 1 the
 property fails (the report carries at least one witness), 2 usage, parse or
-input error, 3 a resource limit was exceeded.
+input error, 3 a resource limit was exceeded or the report could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 # chains, diagrams and braiding are imported by the handlers that run them,
 # so that a call loads only its own subcommand's modules
@@ -587,5 +589,28 @@ def main(argv=None) -> int:
     return report.exit_code
 
 
+def run() -> NoReturn:
+    """The process entry point: run ``main``, flush its output and end with its code.
+
+    ``os._exit`` skips the interpreter's teardown, which costs a call more
+    than most commands' work and which nothing here needs: regcat registers
+    no exit handler and writes no file, and a ``ybe`` pool is joined before
+    the solve returns. An exception escaping ``main`` ends the process as
+    usual, with its traceback. A report that cannot be written, as into a
+    pipe whose reader has gone, ends with one ``error:`` line and exit 3.
+    """
+    try:
+        code = main()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the interpreter started with it closed
+                stream.flush()
+    except OSError as exc:
+        code = RESOURCE_ERROR
+        with contextlib.suppress(OSError, AttributeError):  # stderr closed or None too
+            sys.stderr.write(f"error: cannot write the report: {exc}\n")
+            sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
