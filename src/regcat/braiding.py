@@ -25,9 +25,9 @@ over to the other members.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+from contextlib import nullcontext
 from itertools import chain, groupby, islice, permutations, product
-from math import factorial, inf, prod
+from math import factorial, prod
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .core import FinMap, FiniteSet, ProductSet, _Record, compose, identity
@@ -76,10 +76,6 @@ class ObstructorAssignment(_Record):
             if level == 1 and not e.is_identity():
                 raise NotIdempotent(f"{e.name} (level 1 forces the identity)")
         self._fill(obstructors, level)
-
-    @staticmethod
-    def identities() -> "ObstructorAssignment":
-        return ObstructorAssignment({}, level=1)
 
     def for_object(self, obj: FiniteSet) -> FinMap:
         return self.obstructors.get(obj.id, identity(obj))
@@ -566,32 +562,11 @@ def require_root_budget(s: int, max_nodes: int) -> None:
         raise SearchSpaceTooLarge(roots, max_nodes, "candidate tables")
 
 
-# A solve with more than one job runs its branches in the parent, in task
-# order, until they have tested this many tables between them.  On a 2-vCPU VM
-# with Python 3.11, starting and stopping a pool costs a fresh CLI call about
-# 30 ms of wall time (``ybe --size 2 --e all``: 101 ms with --jobs 2, 72 ms
-# with --jobs 1), as long as the parent takes to test some 27,000 tables at
-# 1.1 µs each (size 3, identity: 64,386 tables in 72 ms).  2,000 tables take
-# the parent about 2 ms: every size-2 solve (at most 248 tables) fits, and a
-# solve that does not loses at most those 2 ms to running them in one process.
-PARENT_NODES = 2_000
-
-
 def Pool(processes: int):
     """A ``multiprocessing`` pool; the module is imported only by a solve that forks."""
     import multiprocessing
 
     return multiprocessing.Pool(processes)
-
-
-def _partitions(n: int) -> int:
-    """The number of partitions of n, and so of conjugacy classes of the
-    idempotents on n elements, which are fixed by their fibre sizes."""
-    ways = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            ways[total] += ways[total - part]
-    return ways[n]
 
 
 def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
@@ -636,50 +611,31 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
 
     # Every branch may test up to max_nodes tables and the running total is
     # checked in task order, so whether the bound is hit does not depend on the
-    # jobs.  With more than one job, a branch runs in the parent when it fits in
-    # what is left of PARENT_NODES; the first that does not is dropped and run
-    # again, with every later branch, in one pool.  The pool gets one worker
-    # per branch left, or s² while classes remain to be solved, as only one
-    # class's branches are in flight at a time.
+    # jobs.  A solve with more than one job forks when s >= 3: every size-2
+    # solve tests at most 248 tables, too few to pay for starting a pool, and
+    # every size-3 solve at least 5,084.  One pool, started before the first
+    # branch, runs every class's s² branches; only one class's are in flight at
+    # a time, so it gets at most s² workers.
     # Idempotents are conjugate exactly when their fibre sizes agree, and the
     # first of a class in lex order is the one solved.
     solutions: list[tuple[Braiding, FinMap]] = []
     count = nodes = triples = 0
     solved: dict[tuple[int, ...], tuple] = {}  # fibre sizes -> (e's blocks, its solutions)
-    left = PARENT_NODES if problem.jobs > 1 else inf
-    pool = None
-
-    def branches(e, group):
-        """(found, nodes, triples) of the branch of each first entry, in order."""
-        nonlocal left, pool
-
-        def task(first: int, budget: int) -> tuple:
-            return s, e, group, first, problem.require_bijective, problem.count_only, budget
-
-        first = 0
-        while first < s * s and pool is None:
-            budget = min(left, problem.max_nodes)
-            f, n, t = _solve_branch(task(first, budget))
-            if budget < problem.max_nodes and n > budget:  # stopped by PARENT_NODES
-                later = problem.e_spec == "all" and _partitions(s) > len(solved) + 1
-                workers = min(problem.jobs, s * s if later else s * s - first)
-                pool = stack.enter_context(Pool(workers))
-                break
-            left -= n
-            first += 1
-            yield f, n, t
-        if pool is not None:
-            yield from pool.imap(_solve_branch, (task(q, problem.max_nodes)
-                                                 for q in range(first, s * s)))
-
-    with ExitStack() as stack:
+    fork = problem.jobs > 1 and s >= 3
+    with Pool(min(problem.jobs, s * s)) if fork else nullcontext() as pool:
+        run = pool.imap if fork else map
         for e in es:
             blocks = _blocks(e.table)
             sizes = tuple(map(len, blocks))
             if sizes not in solved:
                 group = _search_group(_stabilizer(e.table, s * s))
+                tasks = (
+                    (s, e.table, group, first, problem.require_bijective,
+                     problem.count_only, problem.max_nodes)
+                    for first in range(s * s)
+                )
                 found = 0 if problem.count_only else []
-                for f, n, t in branches(e.table, group):
+                for f, n, t in run(_solve_branch, tasks):
                     nodes += n
                     triples += t
                     if nodes > problem.max_nodes:

@@ -564,6 +564,13 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--jobs", type=POSITIVE, default=1)
 
 
+def _error(message: str) -> None:
+    """Print an ``error:`` line on stderr, or nothing if the process has none:
+    ``print`` would write it on stdout when ``sys.stderr`` is None."""
+    if sys.stderr is not None:
+        print(f"error: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     """Parse, load the workspace, run one handler, render; return the exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -580,10 +587,10 @@ def main(argv=None) -> int:
     except (RegcatError, OSError, UnicodeDecodeError) as exc:
         # a decode error does not name the file it read; OSError already does
         where = f"{ns.file}: " if isinstance(exc, UnicodeDecodeError) else ""
-        print(f"error: {where}{exc}", file=sys.stderr)
+        _error(f"{where}{exc}")
         return RESOURCE_ERROR if isinstance(exc, SearchSpaceTooLarge) else USAGE_ERROR
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+        _error("out of memory")
         return RESOURCE_ERROR
     print(report.to_json() if ns.json else report.to_text())
     return report.exit_code

@@ -90,7 +90,7 @@ class TestObstructorAssignment:
             ObstructorAssignment({"A": fm("s", A2, A2, (1, 0))})
 
     def test_default_is_identity(self):
-        ea = ObstructorAssignment.identities()
+        ea = ObstructorAssignment({}, level=1)
         assert ea.for_object(A2) == ID2
 
 
@@ -177,14 +177,14 @@ class TestPrebraids:
             prebraid(SWAP, "L", identity(B3), (B3, B3, B3))
 
     def test_composite_first_with_swaps(self):
-        comp = composite_prebraid(SWAP, SWAP, ObstructorAssignment.identities(), "first")
+        comp = composite_prebraid(SWAP, SWAP, ObstructorAssignment({}, level=1), "first")
         dom = ProductSet.of(A2, A2, A2)
         for i in range(8):
             x, y, z = dom.unrank(i)
             assert dom.unrank(comp.table[i]) == (z, x, y)
 
     def test_composite_second_with_swaps(self):
-        comp = composite_prebraid(SWAP, SWAP, ObstructorAssignment.identities(), "second")
+        comp = composite_prebraid(SWAP, SWAP, ObstructorAssignment({}, level=1), "second")
         dom = ProductSet.of(A2, A2, A2)
         for i in range(8):
             x, y, z = dom.unrank(i)
@@ -258,13 +258,6 @@ class TestIdempotents:
         assert len(sweep) == count
 
 
-# Node budgets a solve with more than one job may spend in the parent.  On A2
-# under ``--e all``, class 0's branches end at 49, 74, 75 and 100 nodes and
-# class 1's first at 161: every branch is pooled; the pool starts in class 0's
-# second branch; in class 1's first; no pool starts, as every size-2 solve fits.
-PARENT_BUDGETS = [0, 60, 120, braiding.PARENT_NODES]
-
-
 def outcome(res):
     """What a solve must give for every job count: its count, work counters and listing."""
     return res.count, res.nodes, res.triples, [(b.map.table, e.table) for b, e in res.solutions]
@@ -324,12 +317,10 @@ class TestSolveYbe:
         ]
         assert keys == sorted(keys)
 
-    def test_jobs_agree(self, monkeypatch):
+    def test_jobs_agree(self):
         seq = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all"))
-        for parent_nodes in PARENT_BUDGETS:
-            monkeypatch.setattr(braiding, "PARENT_NODES", parent_nodes)
-            par = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", jobs=2))
-            assert outcome(seq) == outcome(par)
+        par = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", jobs=2))
+        assert outcome(seq) == outcome(par)
 
     @pytest.mark.parametrize("s", [0, 1])
     @pytest.mark.parametrize("mode", ["classical", "regular"])
@@ -340,12 +331,10 @@ class TestSolveYbe:
         assert res.count == len(res.solutions) == 1
         assert solve_ybe(problem._replace(count_only=True)).count == 1
 
-    def test_counters_agree_across_jobs(self, monkeypatch):
+    def test_counters_agree_across_jobs(self):
         seq = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True))
-        for parent_nodes in PARENT_BUDGETS:
-            monkeypatch.setattr(braiding, "PARENT_NODES", parent_nodes)
-            par = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True, jobs=2))
-            assert outcome(seq) == outcome(par)
+        par = solve_ybe(YbeProblem(A2, mode="regular", e_spec="all", count_only=True, jobs=2))
+        assert outcome(seq) == outcome(par)
         # 3 idempotents x 4 roots, plus 4 candidates at every consistent inner node
         assert seq.nodes > 12 and seq.triples > 0
 
@@ -370,22 +359,20 @@ class TestSolveYbe:
         )
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_node_budget(self, jobs, monkeypatch):
+    def test_node_budget(self, jobs):
         problem = YbeProblem(A2, mode="regular", e_spec="all")
         total = solve_ybe(problem._replace(count_only=True)).nodes
-        for parent_nodes in PARENT_BUDGETS:
-            monkeypatch.setattr(braiding, "PARENT_NODES", parent_nodes)
-            # at the roots, inside class 0's first branch, inside class 1's first branch
-            for budget in (0, 10, 120, total - 1):
-                refusals = []
-                for k in (1, jobs):
-                    with pytest.raises(SearchSpaceTooLarge) as exc:
-                        solve_ybe(problem._replace(jobs=k, max_nodes=budget))
-                    refusals.append((exc.value.size, exc.value.bound))
-                assert refusals[0] == refusals[1] and refusals[0][1] == budget
-            res = solve_ybe(problem._replace(jobs=jobs, max_nodes=total))
-            assert res.count == 141 and res.nodes == total
-            assert outcome(res) == outcome(solve_ybe(problem))
+        # at the roots, inside class 0's first branch, inside class 1's first branch
+        for budget in (0, 10, 120, total - 1):
+            refusals = []
+            for k in (1, jobs):
+                with pytest.raises(SearchSpaceTooLarge) as exc:
+                    solve_ybe(problem._replace(jobs=k, max_nodes=budget))
+                refusals.append((exc.value.size, exc.value.bound))
+            assert refusals[0] == refusals[1] and refusals[0][1] == budget
+        res = solve_ybe(problem._replace(jobs=jobs, max_nodes=total))
+        assert res.count == 141 and res.nodes == total
+        assert outcome(res) == outcome(solve_ybe(problem))
 
     def test_node_budget_stops_large_carrier(self):
         with pytest.raises(SearchSpaceTooLarge):
@@ -475,51 +462,61 @@ def pools(monkeypatch):
 
 
 class TestParentFirst:
+    """A solve runs every branch in the parent unless it has more than one job
+    and at least 3 elements; then one pool runs them all."""
+
     def test_a_solve_that_fits_in_the_parent_starts_no_pool(self, pools):
-        for spec in ("identity", "all"):
-            solve_ybe(YbeProblem(A2, e_spec=spec, jobs=2))
+        for s, spec, jobs in product(range(3), ("identity", "all"), (2, 9, 64)):
+            solve_ybe(YbeProblem(S("U", s), e_spec=spec, jobs=jobs))
         assert pools == []
 
-    @pytest.mark.parametrize("spec, budget, workers, firsts", [
-        # the identity's four branches take 61, 49, 1 and 37 nodes
-        ("identity", 0, 4, [0, 1, 2, 3]),
-        ("identity", 70, 3, [1, 2, 3]),
-        # one pool serves both classes, and only one class's branches are in flight
-        ("all", 0, 4, [0, 1, 2, 3] * 2),
-        ("all", 60, 4, [1, 2, 3, 0, 1, 2, 3]),
-        # the pool starts in class 1, the last, after 161 of the 248 nodes
-        ("all", 180, 3, [1, 2, 3]),
-    ])
-    def test_no_more_workers_than_branches_left(self, pools, monkeypatch, spec, budget,
-                                                workers, firsts):
-        monkeypatch.setattr(braiding, "PARENT_NODES", budget)
-        problem = YbeProblem(A2, e_spec=spec, jobs=64)
-        assert outcome(solve_ybe(problem)) == outcome(solve_ybe(problem._replace(jobs=1)))
-        assert [(p.processes, p.firsts) for p in pools] == [(workers, firsts)]
-
-    def test_every_split_of_a_solve_between_parent_and_pool(self, pools, monkeypatch):
-        # the size-3 --bijective identity solve: 5,084 nodes in nine branches
-        problem = YbeProblem(S("U", 3), require_bijective=True, jobs=2)
-        expected = outcome(solve_ybe(problem._replace(jobs=1)))
-        group = _search_group(_stabilizer((0, 1, 2), 9))
-        ends = list(accumulate(
-            braiding._solve_branch((3, (0, 1, 2), group, first, True, True, 10**9))[1]
-            for first in range(9)
-        ))
-        assert ends[-1] == expected[1] == 5084
-        for budget in sorted({0, *(end + d for end in ends for d in (-1, 0, 1))}):
+    @pytest.mark.parametrize("jobs", [2, 9, 64])
+    def test_a_solve_on_3_elements_starts_one_pool_first(self, pools, monkeypatch, jobs):
+        # the pools started when each branch runs in the parent
+        started = []
+        branch = braiding._solve_branch
+        monkeypatch.setattr(braiding, "_solve_branch",
+                            lambda task: started.append(len(pools)) or branch(task))
+        # the identity is one class; --e all searches three, one per fibre-size pattern
+        for spec, classes in (("identity", 1), ("all", 3)):
             pools.clear()
-            monkeypatch.setattr(braiding, "PARENT_NODES", budget)
-            assert outcome(solve_ybe(problem)) == expected
-            # the first branch past the budget is run again in the pool, with every later one
-            dropped = next((k for k, end in enumerate(ends) if end > budget), None)
-            assert [p.firsts for p in pools] == ([] if dropped is None else [list(range(dropped, 9))])
+            started.clear()
+            solve_ybe(YbeProblem(S("U", 3), e_spec=spec, require_bijective=True, jobs=jobs))
+            assert [(p.processes, p.firsts) for p in pools] == [
+                (min(jobs, 9), list(range(9)) * classes)]
+            assert started == [1] * 9 * classes
 
-    # at the roots, inside branch 1, at the end of branch 4
-    @pytest.mark.parametrize("budget", [0, 1647, 3460])
-    def test_a_split_solve_on_worker_processes(self, monkeypatch, budget):
-        problem = YbeProblem(S("U", 3), require_bijective=True, jobs=2)
-        monkeypatch.setattr(braiding, "PARENT_NODES", budget)
+    # the size-3 --bijective solves: 5,084 nodes for the identity, 20,482 for --e all
+    @pytest.mark.parametrize("spec, total", [("identity", 5084), ("all", 20482)])
+    def test_a_forked_solve_gives_what_one_job_gives(self, pools, spec, total):
+        problem = YbeProblem(S("U", 3), e_spec=spec, require_bijective=True)
+        expected = outcome(solve_ybe(problem))
+        assert expected[1] == total
+        for jobs in (2, 64):
+            assert outcome(solve_ybe(problem._replace(jobs=jobs))) == expected
+            counted = solve_ybe(problem._replace(jobs=jobs, count_only=True))
+            assert (counted.count, counted.nodes, counted.triples) == expected[:3]
+        e = (0, 0, 0) if spec == "all" else (0, 1, 2)  # the first class searched
+        group = _search_group(_stabilizer(e, 9))
+        ends = list(accumulate(
+            braiding._solve_branch((3, e, group, first, True, True, 10**9))[1]
+            for first in range(2)
+        ))
+        inside_branch_1 = (ends[0] + ends[1]) // 2
+        assert ends[0] < inside_branch_1 < ends[1]
+        # below the roots, inside branch 0, inside branch 1, one below the total
+        for budget in (0, 9, inside_branch_1, total - 1):
+            refusals = set()
+            for jobs in (1, 2, 64):
+                with pytest.raises(SearchSpaceTooLarge) as exc:
+                    solve_ybe(problem._replace(jobs=jobs, max_nodes=budget))
+                refusals.add((exc.value.size, exc.value.bound))
+            assert len(refusals) == 1 and refusals.pop()[1] == budget
+        # one pool per solve with jobs > 1, but for those refused before the search
+        assert len(pools) == 2 * 2 + 3 * 2
+
+    def test_a_forked_solve_on_worker_processes(self):
+        problem = YbeProblem(S("U", 3), e_spec="all", require_bijective=True, jobs=2)
         assert outcome(solve_ybe(problem)) == outcome(solve_ybe(problem._replace(jobs=1)))
 
 

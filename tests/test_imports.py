@@ -92,10 +92,10 @@ def test_ybe_loads_neither_dataclasses_nor_inspect():
 
 
 def test_only_a_forking_solve_loads_multiprocessing():
-    # 64,386 candidate tables: more than a solve tests in the parent before it forks
+    # a solve with --jobs 2 forks on 3 elements
     assert "multiprocessing" in after_cli(
         "ybe", "--size", "3", "--mode", "regular", "--count-only", "--jobs", "2")
-    # 148 candidate tables: the parent solves it alone
+    # and never on 2
     found = after_cli("ybe", "--size", "2", "--mode", "regular", "--count-only", "--jobs", "2")
     assert "regcat.braiding" in found and "multiprocessing" not in found
     found = after_cli("braid-check", str(ROOT / "fixtures" / "braid.rcw"), "--braiding", "swap",

@@ -89,8 +89,8 @@ def test_a_large_report_arrives_whole_through_a_pipe(monkeypatch, wide_inverses)
 @pytest.mark.parametrize("extra, code", [((), 0), (("--max-space", "3000"), 3)],
                          ids=["solved", "refused"])
 def test_a_pool_leaves_no_process_behind(extra, code):
-    # identity at size 3 outgrows the parent's 2,000 tables, so the solve forks
-    # a pool; the refusal comes while both workers are busy
+    # a solve with --jobs 2 on 3 elements forks a pool before its first branch;
+    # the refusal comes while both workers are busy
     proc = subprocess.Popen(command(*POOL_SOLVE, *extra), env=ENV, cwd=ROOT,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
     try:
@@ -124,6 +124,18 @@ def test_a_reader_that_stops_early_gets_no_traceback(wide_inverses, stderr):
         proc.wait(timeout=10)
     assert head.startswith(b'{\n  "command": "inverses"')
     assert err == (b"" if closed else b"error: cannot write the report: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("stderr", ["open", "closed"])
+def test_an_error_line_never_reaches_stdout(stderr):
+    # with descriptor 2 closed at start-up sys.stderr is None, and the error line is dropped
+    closed = stderr == "closed"
+    proc = subprocess.run(command("check-map", MAPS, "--map", "nope"), env=ENV, cwd=ROOT,
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL if closed else subprocess.PIPE,
+                          preexec_fn=(lambda: os.close(2)) if closed else None, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr == (None if closed else b"error: reference to undeclared name 'nope'\n")
 
 
 def test_a_process_started_without_stdout_ends_as_main_returns():
