@@ -519,6 +519,18 @@ class TestParentFirst:
         problem = YbeProblem(S("U", 3), e_spec="all", require_bijective=True, jobs=2)
         assert outcome(solve_ybe(problem)) == outcome(solve_ybe(problem._replace(jobs=1)))
 
+    # node budgets for the 5,084-node identity solve: at the roots, inside
+    # branch 1, at the end of branch 4
+    @pytest.mark.parametrize("budget", [0, 1647, 3460])
+    def test_a_split_solve_on_worker_processes(self, budget):
+        problem = YbeProblem(S("U", 3), require_bijective=True, max_nodes=budget)
+        refusals = []
+        for jobs in (1, 2):
+            with pytest.raises(SearchSpaceTooLarge) as exc:
+                solve_ybe(problem._replace(jobs=jobs))
+            refusals.append((exc.value.size, exc.value.bound))
+        assert refusals[0] == refusals[1] and refusals[0][1] == budget
+
 
 # --- incremental consistency check ----------------------------------------------
 
