@@ -16,6 +16,7 @@ makes the level-by-level construction in ``find_chains`` sound.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterator, NamedTuple, Optional
 
 from .core import FinMap, all_maps, compose, compose_path, fibre_columns
@@ -23,6 +24,7 @@ from .errors import (
     AlternationViolation,
     NotAGeneralizedInverse,
     OrderMismatch,
+    SearchSpaceTooLarge,
     TypeMismatch,
     refuse_large_space,
 )
@@ -170,9 +172,10 @@ def find_chains(
     concatenated star tables.  Without a limit, SearchSpaceTooLarge is
     raised when the product of the n map spaces, |X|^|Y| at odd levels and
     |Y|^|X| at even ones, exceeds max_space: the bound guards the size of
-    that space, not the number of tables built.  With a limit at most
-    `limit` towers are returned, and the result is flagged truncated exactly
-    when a further one exists.
+    that space, not the number of tables built.  With a limit the space is
+    not sized; SearchSpaceTooLarge is raised once the search has built more
+    than max_space star tables, and otherwise at most `limit` towers are
+    returned, flagged truncated exactly when a further one exists.
     """
     if n < 1:
         raise ValueError("chain order must be >= 1")
@@ -180,14 +183,14 @@ def find_chains(
     if limit is None:
         refuse_large_space([(nx, ny * ((n + 1) // 2)), (ny, nx * (n // 2))], max_space,
                            "candidate towers")
-
+    bound = sys.maxsize if limit is None else max_space
     stop = None if limit is None else limit + 1
     found: list[StarChain] = []
     nodes = 0
     stars: list[FinMap] = []
     heads: list[tuple[int, ...]] = []  # heads[i]: the table of s1∘...∘s(i+1)
     levels = [_next_stars(f, stars, None)]  # levels[-1] offers the star after ``stars``
-    while levels and len(found) != stop:
+    while levels and len(found) != stop and nodes <= bound:
         s = next(levels[-1], None)
         if s is None:
             levels.pop()
@@ -202,6 +205,8 @@ def find_chains(
             stars.append(s)
             heads.append(tuple([heads[-1][v] for v in s.table]) if heads else s.table)
             levels.append(_next_stars(f, stars, heads[-1]))
+    if nodes > bound:
+        raise SearchSpaceTooLarge(nodes, bound, "star tables")
     truncated = limit is not None and len(found) > limit
     return ChainSearchResult(found[:limit], truncated, nodes)
 

@@ -447,20 +447,6 @@ class UsageError(RegcatError):
     pass
 
 
-HANDLERS = {
-    "check-map": _cmd_check_map,
-    "inverses": _cmd_inverses,
-    "chain": _cmd_chain,
-    "projector": _cmd_projector,
-    "diagram": _cmd_diagram,
-    "obstruction": _cmd_obstruction,
-    "cycles3": _cmd_cycles3,
-    "functor": _cmd_functor,
-    "braid-check": _cmd_braid_check,
-    "ybe": _cmd_ybe,
-}
-
-
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than ``low``."""
 
@@ -477,20 +463,54 @@ def _int_at_least(low: int):
 NON_NEGATIVE = _int_at_least(0)
 POSITIVE = _int_at_least(1)
 
+# arguments that several subcommands take, each as (flag, add_argument keywords)
+_MAX_SPACE = ("--max-space", {"type": NON_NEGATIVE, "default": inverses.DEFAULT_MAX_SPACE,
+                              "help": "bound on exhaustive search spaces"})
+_FILE = ("file", {"help": "workspace file"})
+_MAP = ("--map", {"required": True})
+_NAME = ("--name", {"required": True})
+_N = ("--n", {"type": POSITIVE, "required": True})
+_LIMIT = ("--limit", {"type": NON_NEGATIVE, "default": None})
+_COUNT_ONLY = ("--count-only", {"action": "store_true"})
 
-# the subcommands in the order ``regcat --help`` lists them, with their help
+# One row per subcommand, in the order ``regcat --help`` lists them: its help,
+# its handler, and its arguments in the order its help lists them after --json.
+# A subcommand with a file argument runs on that workspace.
 SUBCOMMANDS = {
-    "check-map": "classify a map and report a regularity witness",
-    "inverses": "enumerate inner/outer/generalized inverses",
-    "chain": "check or search star chains",
-    "projector": "higher projector of a star chain",
-    "diagram": "commutativity or semicommutativity check",
-    "obstruction": "least cycle length with non-identity obstructor",
-    "cycles3": "list the regular 3-cycles of a diagram",
-    "functor": "generalized functor check between two diagrams",
-    "braid-check": "symmetry/regularity/YBE checks for a braiding",
-    "ybe": "solve the YBE on a fresh carrier",
+    "check-map": ("classify a map and report a regularity witness", _cmd_check_map,
+                  [_FILE, _MAP]),
+    "inverses": ("enumerate inner/outer/generalized inverses", _cmd_inverses, [
+        _MAX_SPACE, _FILE, _MAP,
+        ("--kind", {"required": True, "choices": list(inverses.INVERSE_KINDS)}),
+        _COUNT_ONLY, _LIMIT]),
+    "chain": ("check or search star chains", _cmd_chain, [
+        _MAX_SPACE, _FILE, _MAP, _N, ("--search", {"action": "store_true"}), _LIMIT,
+        ("--stars", {"default": ""})]),
+    "projector": ("higher projector of a star chain", _cmd_projector,
+                  [_FILE, _MAP, ("--stars", {"required": True})]),
+    "diagram": ("commutativity or semicommutativity check", _cmd_diagram, [
+        _MAX_SPACE, _FILE, _NAME,
+        ("--mode", {"required": True, "choices": ["commutative", "semicommutative"]}),
+        ("--max-len", {"type": POSITIVE, "required": True})]),
+    "obstruction": ("least cycle length with non-identity obstructor", _cmd_obstruction, [
+        _MAX_SPACE, _FILE, _NAME, ("--object", {"required": True}),
+        ("--max-n", {"type": POSITIVE, "required": True})]),
+    "cycles3": ("list the regular 3-cycles of a diagram", _cmd_cycles3,
+                [_MAX_SPACE, _FILE, _NAME]),
+    "functor": ("generalized functor check between two diagrams", _cmd_functor, [
+        _MAX_SPACE, _FILE, ("--from", {"required": True, "dest": "src"}),
+        ("--to", {"required": True, "dest": "dst"}), ("--objects", {"required": True}),
+        ("--maps", {"required": True}), _N]),
+    "braid-check": ("symmetry/regularity/YBE checks for a braiding", _cmd_braid_check, [
+        _FILE, ("--braiding", {"required": True}), ("--star", {"default": None}),
+        ("--e", {"default": None})]),
+    "ybe": ("solve the YBE on a fresh carrier", _cmd_ybe, [
+        _MAX_SPACE, ("--size", {"type": NON_NEGATIVE, "required": True}),
+        ("--mode", {"required": True, "choices": ["classical", "regular"]}),
+        ("--e", {"default": "identity"}), ("--bijective", {"action": "store_true"}),
+        _COUNT_ONLY, ("--jobs", {"type": POSITIVE, "default": 1})]),
 }
+HANDLERS = {name: handler for name, (_, handler, _) in SUBCOMMANDS.items()}
 
 
 def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
@@ -502,66 +522,13 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """
     parser = argparse.ArgumentParser(prog="regcat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help in SUBCOMMANDS.items():
+    for name, (help, _, arguments) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help)
         if name in argv:
-            _add_arguments(p, name)
+            p.add_argument("--json", action="store_true", help="emit the JSON report")
+            for flag, kwargs in arguments:
+                p.add_argument(flag, **kwargs)
     return parser
-
-
-def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
-    """Give one subcommand's parser its arguments, in the order its help lists them."""
-    p.add_argument("--json", action="store_true", help="emit the JSON report")
-    p.add_argument(
-        "--max-space", type=NON_NEGATIVE, default=inverses.DEFAULT_MAX_SPACE, dest="max_space",
-        help="bound on exhaustive search spaces",
-    )
-    if command != "ybe":
-        p.add_argument("file", help="workspace file")
-
-    if command == "check-map":
-        p.add_argument("--map", required=True)
-    elif command == "inverses":
-        p.add_argument("--map", required=True)
-        p.add_argument("--kind", required=True, choices=list(inverses.INVERSE_KINDS))
-        p.add_argument("--count-only", action="store_true", dest="count_only")
-        p.add_argument("--limit", type=NON_NEGATIVE, default=None)
-    elif command == "chain":
-        p.add_argument("--map", required=True)
-        p.add_argument("--n", type=POSITIVE, required=True)
-        p.add_argument("--search", action="store_true")
-        p.add_argument("--limit", type=NON_NEGATIVE, default=None)
-        p.add_argument("--stars", default="")
-    elif command == "projector":
-        p.add_argument("--map", required=True)
-        p.add_argument("--stars", required=True)
-    elif command == "diagram":
-        p.add_argument("--name", required=True)
-        p.add_argument("--mode", required=True, choices=["commutative", "semicommutative"])
-        p.add_argument("--max-len", type=POSITIVE, required=True, dest="max_len")
-    elif command == "obstruction":
-        p.add_argument("--name", required=True)
-        p.add_argument("--object", required=True)
-        p.add_argument("--max-n", type=POSITIVE, required=True, dest="max_n")
-    elif command == "cycles3":
-        p.add_argument("--name", required=True)
-    elif command == "functor":
-        p.add_argument("--from", required=True, dest="src")
-        p.add_argument("--to", required=True, dest="dst")
-        p.add_argument("--objects", required=True)
-        p.add_argument("--maps", required=True)
-        p.add_argument("--n", type=POSITIVE, required=True)
-    elif command == "braid-check":
-        p.add_argument("--braiding", required=True)
-        p.add_argument("--star", default=None)
-        p.add_argument("--e", default=None)
-    else:
-        p.add_argument("--size", type=NON_NEGATIVE, required=True)
-        p.add_argument("--mode", required=True, choices=["classical", "regular"])
-        p.add_argument("--e", default="identity")
-        p.add_argument("--bijective", action="store_true")
-        p.add_argument("--count-only", action="store_true", dest="count_only")
-        p.add_argument("--jobs", type=POSITIVE, default=1)
 
 
 def _error(message: str) -> None:
@@ -580,7 +547,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code else 0
     try:
         ws = None
-        if ns.command != "ybe":
+        if "file" in ns:
             with open(ns.file, encoding="utf-8") as fh:
                 ws = parse_workspace(fh.read())
         report = HANDLERS[ns.command](ws, ns)

@@ -9,11 +9,18 @@ inverses exist and whether the generalized one is unique.
 
 from __future__ import annotations
 
+import sys
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .core import FinMap, all_maps, classify_map, compose, fibre_columns
-from .errors import NoInverseExists, NotAnInnerInverse, TypeMismatch, refuse_large_space
+from .errors import (
+    NoInverseExists,
+    NotAnInnerInverse,
+    SearchSpaceTooLarge,
+    TypeMismatch,
+    refuse_large_space,
+)
 
 INVERSE_KINDS = ("inner", "outer", "generalized")
 
@@ -66,24 +73,26 @@ class _OuterTables:
     forces position f(x): x is rejected when an earlier position forced g(y)
     otherwise, when f(x) < y and g(f(x)) ≠ x, or when f(x) > y is already
     forced to another value.  ``nodes`` is the number of (position, value)
-    pairs tested so far.
+    pairs tested so far; the search stops once it exceeds ``bound``.
     """
 
-    def __init__(self, f: FinMap, columns: Optional[list[Optional[list[int]]]] = None):
+    def __init__(self, f: FinMap, columns: Optional[list[Optional[list[int]]]] = None,
+                 bound: int = sys.maxsize):
         self.f = f
         whole = range(f.dom.cardinality)
         self.columns = [whole if c is None else c for c in columns or [None] * f.cod.cardinality]
+        self.bound = bound
         self.nodes = 0
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
-        ny, ft, columns = self.f.cod.cardinality, self.f.table, self.columns
+        ny, ft, columns, bound = self.f.cod.cardinality, self.f.table, self.columns, self.bound
         g = [0] * ny
         at = [0] * ny  # at[y]: the index of g(y) in columns[y]
         forced: list[Optional[int]] = [None] * ny
         claims: list[Optional[int]] = [None] * ny  # claims[y]: the position g(y) forced
         nodes = 0
         y, i = 0, 0  # the position being filled and the index of the next value to try
-        while y >= 0:
+        while y >= 0 and nodes <= bound:
             if y < ny and i < len(columns[y]):
                 nodes += 1
                 x = columns[y][i]
@@ -129,24 +138,31 @@ def enumerate_inverses(
 
     Without a limit the count is exact, and SearchSpaceTooLarge is raised
     when |dom|^|cod| exceeds max_space: the bound guards the size of the map
-    space, not the number of tables built.  With a limit at most `limit`
-    inverses are returned, and the result is flagged truncated exactly when
-    a further one exists.
+    space, not the number of tables built.  With a limit the space is not
+    sized; SearchSpaceTooLarge is raised once the search has built more than
+    max_space nodes, and otherwise at most `limit` inverses are returned,
+    flagged truncated exactly when a further one exists.
     """
     if kind not in INVERSE_KINDS:
         raise ValueError(f"unknown inverse kind {kind!r}")
     if limit is None:
         refuse_large_space([(f.dom.cardinality, f.cod.cardinality)], max_space, "candidate maps")
+    bound = sys.maxsize if limit is None else max_space
     stop = None if limit is None else limit + 1
     columns = fibre_columns(f.table, f.cod.cardinality, f.table)
     if kind == "inner":
-        found = list(islice(all_maps(f.cod, f.dom, f"{f.name}_inv", columns), stop))
+        # each table is a node, so one past the bound is the last one built
+        tables = all_maps(f.cod, f.dom, f"{f.name}_inv", columns)
+        found = list(islice(tables, None if limit is None else min(limit, bound) + 1))
         nodes = len(found)
     else:
-        search = _OuterTables(f, columns if kind == "generalized" else None)
+        search = _OuterTables(f, columns if kind == "generalized" else None, bound)
         found = [FinMap(f"{f.name}_inv{k}", f.cod, f.dom, t)
                  for k, t in enumerate(islice(search, stop))]
         nodes = search.nodes
+    if nodes > bound:
+        unit = "inverse tables" if kind == "inner" else "table entries"
+        raise SearchSpaceTooLarge(nodes, bound, unit)
     truncated = limit is not None and len(found) > limit
     found = found[:limit]
     return InverseEnumeration(found, len(found), truncated, nodes)

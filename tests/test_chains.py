@@ -194,11 +194,19 @@ class TestFindChains:
         )
 
     def test_a_limit_skips_the_space(self, monkeypatch):
+        # under a limit the space is not sized: the star tables built are
+        # bounded instead, and one past the bound refuses the search
         def unreachable(*args):
             raise AssertionError("the space was sized")
 
         monkeypatch.setattr(chains, "refuse_large_space", unreachable)
-        assert len(find_chains(F, 3, limit=2, max_space=0).chains) == 2
+        r = find_chains(F, 3, limit=2, max_space=6)
+        assert len(r.chains) == 2 and r.truncated and r.nodes == 6
+        with pytest.raises(SearchSpaceTooLarge) as info:
+            find_chains(F, 3, limit=2, max_space=5)
+        assert str(info.value) == "search space of 6 star tables exceeds the bound 5"
+        with pytest.raises(SearchSpaceTooLarge, match="of 1 star tables"):
+            find_chains(F, 3, limit=2, max_space=0)
         with pytest.raises(AssertionError, match="sized"):
             find_chains(F, 3, max_space=0)
 

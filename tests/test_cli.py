@@ -490,15 +490,16 @@ class TestTopLevel:
 
     @pytest.mark.parametrize("command, options", [
         ("check-map", ["--map"]),
-        ("inverses", ["--map", "--kind", "--count-only", "--limit"]),
-        ("chain", ["--map", "--n", "--search", "--limit", "--stars"]),
+        ("inverses", ["--max-space", "--map", "--kind", "--count-only", "--limit"]),
+        ("chain", ["--max-space", "--map", "--n", "--search", "--limit", "--stars"]),
         ("projector", ["--map", "--stars"]),
-        ("diagram", ["--name", "--mode", "--max-len"]),
-        ("obstruction", ["--name", "--object", "--max-n"]),
-        ("cycles3", ["--name"]),
-        ("functor", ["--from", "--to", "--objects", "--maps", "--n"]),
+        ("diagram", ["--max-space", "--name", "--mode", "--max-len"]),
+        ("obstruction", ["--max-space", "--name", "--object", "--max-n"]),
+        ("cycles3", ["--max-space", "--name"]),
+        ("functor", ["--max-space", "--from", "--to", "--objects", "--maps", "--n"]),
         ("braid-check", ["--braiding", "--star", "--e"]),
-        ("ybe", ["--size", "--mode", "--e", "--bijective", "--count-only", "--jobs"]),
+        ("ybe", ["--max-space", "--size", "--mode", "--e", "--bijective", "--count-only",
+                 "--jobs"]),
     ])
     def test_subcommand_help_lists_its_options(self, command, options, capsys):
         assert main([command, "--help"]) == 0
@@ -506,7 +507,19 @@ class TestTopLevel:
         assert out.startswith(f"usage: regcat {command} ")
         positionals = [] if command == "ybe" else ["file"]
         listed = re.findall(r"^  (-h, --help|\S+)", out, re.M)
-        assert listed == [*positionals, "-h, --help", "--json", "--max-space", *options]
+        assert listed == [*positionals, "-h, --help", "--json", *options]
+
+    @pytest.mark.parametrize("argv", [
+        ("check-map", MAPS, "--map", "f"),
+        ("projector", MAPS, "--map", "f", "--stars", "fstar"),
+        ("braid-check", BRAID, "--braiding", "swap"),
+    ])
+    def test_max_space_is_refused_where_nothing_is_searched(self, argv, capsys):
+        assert main(list(argv)) == 0
+        capsys.readouterr()
+        assert main([*argv, "--max-space", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith("error: unrecognized arguments: --max-space 5\n")
 
     def test_text_output_mentions_verdict(self, capsys):
         code, out = run(
@@ -664,6 +677,18 @@ def test_a_large_report_is_written_without_the_encoder_chunks():
 
 NOT_UTF8 = "<a workspace file that is not UTF-8>"
 
+# a search under --limit is not sized; it stops at one node past --max-space
+INVERSES_LIMITED = ("inverses", MAPS, "--map", "f", "--kind", "inner", "--limit", "5")
+CHAIN_LIMITED = ("chain", MAPS, "--map", "f", "--n", "100000", "--search", "--limit", "0")
+LIMITED = [  # (argv, the nodes it builds, what they are)
+    (INVERSES_LIMITED, 2, "inverse tables"),
+    (("inverses", MAPS, "--map", "f", "--kind", "outer", "--limit", "1"), 4, "table entries"),
+    (("inverses", MAPS, "--map", "f", "--kind", "generalized", "--limit", "0"), 2,
+     "table entries"),
+    (("chain", MAPS, "--map", "f", "--n", "1000", "--search", "--limit", "0"), 1000,
+     "star tables"),
+]
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
@@ -704,6 +729,21 @@ class TestExitCodes:
         assert main(list(argv)) == 3
         assert capsys.readouterr() == ("", f"error: search space of {counted}")
 
+    @pytest.mark.parametrize("argv, bound, counted", [
+        (INVERSES_LIMITED, 0, "inverse tables"),
+        (CHAIN_LIMITED, 10, "star tables"),
+        *((argv, nodes - 1, counted) for argv, nodes, counted in LIMITED),
+    ])
+    def test_a_limited_search_is_refused_past_the_bound(self, argv, bound, counted, capsys):
+        assert main([*argv, "--max-space", str(bound)]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: search space of {bound + 1} {counted} exceeds the bound {bound}\n")
+
+    @pytest.mark.parametrize("argv, nodes, counted", LIMITED)
+    def test_a_limited_search_runs_up_to_the_bound(self, argv, nodes, counted, capsys):
+        code, rep = run_json(capsys, *argv, "--max-space", str(nodes))
+        assert code == 0 and rep["counts"]["nodes"] == nodes
+
     @pytest.mark.parametrize("argv, shown", [
         (("chain", MAPS, "--map", "f", "--n", "20000", "--search"), "3^20000*2^30000"),
         (("chain", MAPS, "--map", "f", "--n", str(2**53), "--search"),
@@ -741,29 +781,34 @@ class TestExitCodes:
 SMALL = st.integers(-2, 4).map(str)
 MAPS_IN_FIXTURES = st.sampled_from(["f", "fstar", "g", "h", "e0", "idA"])
 STARS = st.sampled_from(["", "fstar", "fstar,f", "fstar,f,fstar", "f", "g,h", ",,"])
+MAX_SPACE = st.sampled_from(["-1", "0", "3", "100000"])
 FLAGS = {
     "check-map": {"--map": MAPS_IN_FIXTURES},
     "inverses": {
+        "--max-space": MAX_SPACE,
         "--map": MAPS_IN_FIXTURES,
         "--kind": st.sampled_from(["inner", "outer", "generalized", "bogus"]),
         "--count-only": st.none(),
         "--limit": SMALL,
     },
     "chain": {
-        "--map": MAPS_IN_FIXTURES, "--n": SMALL, "--search": st.none(), "--limit": SMALL,
-        "--stars": STARS,
+        "--max-space": MAX_SPACE, "--map": MAPS_IN_FIXTURES, "--n": SMALL,
+        "--search": st.none(), "--limit": SMALL, "--stars": STARS,
     },
     "projector": {"--map": MAPS_IN_FIXTURES, "--stars": STARS},
     "diagram": {
+        "--max-space": MAX_SPACE,
         "--name": st.just("D"),
         "--mode": st.sampled_from(["commutative", "semicommutative", "bogus"]),
         "--max-len": SMALL,
     },
     "obstruction": {
-        "--name": st.just("D"), "--object": st.sampled_from(["X", "Y", "W"]), "--max-n": SMALL,
+        "--max-space": MAX_SPACE, "--name": st.just("D"),
+        "--object": st.sampled_from(["X", "Y", "W"]), "--max-n": SMALL,
     },
-    "cycles3": {"--name": st.just("D")},
+    "cycles3": {"--max-space": MAX_SPACE, "--name": st.just("D")},
     "functor": {
+        "--max-space": MAX_SPACE,
         "--from": st.just("D"),
         "--to": st.just("D"),
         "--objects": st.sampled_from(["X=X,Y=Y,Z=Z", "X=Y,Y=Z,Z=X", "X=X", "X", ""]),
@@ -776,6 +821,7 @@ FLAGS = {
         "--e": MAPS_IN_FIXTURES,
     },
     "ybe": {
+        "--max-space": MAX_SPACE,
         "--size": st.integers(-1, 2).map(str),
         "--mode": st.sampled_from(["classical", "regular"]),
         "--e": st.sampled_from(
@@ -787,7 +833,7 @@ FLAGS = {
         "--jobs": st.integers(-1, 2).map(str),
     },
 }
-COMMON = {"--json": st.none(), "--max-space": st.sampled_from(["-1", "0", "3", "100000"])}
+COMMON = {"--json": st.none()}
 OPTIONAL = {
     "--json", "--max-space", "--count-only", "--limit", "--search", "--star", "--e",
     "--bijective", "--jobs",

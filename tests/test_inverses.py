@@ -164,9 +164,11 @@ class TestConstructive:
         # a constant map X -> X has |X| generalized inverses, the constant
         # maps, among |X|^(|X|-1) inner ones
         c = fm("c", S("X", 12), S("X", 12), (0,) * 12)
-        res = enumerate_inverses(c, "generalized", limit=1, max_space=0)
+        res = enumerate_inverses(c, "generalized", limit=1, max_space=156)
         assert res.maps[0].table == (0,) * 12 and res.truncated
         assert res.nodes == 156
+        with pytest.raises(SearchSpaceTooLarge, match="156 table entries exceeds the bound 155"):
+            enumerate_inverses(c, "generalized", limit=1, max_space=155)
         full = enumerate_inverses(c, "generalized", max_space=12**12)
         assert full.count == 12 and full.nodes == 1596
 

@@ -1,9 +1,11 @@
 """Static checks on the package source."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import regcat
+from regcat import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "regcat"
 TESTS = Path(__file__).resolve().parent
@@ -172,3 +174,29 @@ def test_every_report_goes_through_the_one_writer():
                           "json.dumps(x)\n") == [3, 4]
     found = {p.name: indented_dumps(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def namespace_reads(function) -> set[str]:
+    """The attributes a function reads of the parsed arguments, ``ns``."""
+    tree = ast.parse(inspect.getsource(function))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ns"}
+
+
+def unread_arguments(subcommands: dict) -> dict[str, list[str]]:
+    """Per subcommand row, the arguments that neither its handler nor ``main`` reads."""
+    by_main = namespace_reads(cli.main)
+    found = {}
+    for name, (_, handler, arguments) in subcommands.items():
+        read = namespace_reads(handler) | by_main
+        dests = [kwargs.get("dest", flag.lstrip("-").replace("-", "_"))
+                 for flag, kwargs in arguments]
+        if unread := [dest for dest in dests if dest not in read]:
+            found[name] = unread
+    return found
+
+
+def test_every_argument_a_subcommand_declares_is_read():
+    ignored = {"check-map": ("", cli._cmd_check_map, [cli._FILE, cli._MAP, cli._MAX_SPACE])}
+    assert unread_arguments(ignored) == {"check-map": ["max_space"]}
+    assert unread_arguments(cli.SUBCOMMANDS) == {}
