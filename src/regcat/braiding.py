@@ -17,10 +17,15 @@ for σ∘e∘σ⁻¹.  The mirror τ·B = τ∘B∘τ, τ(x, y) = (y, x) swappin
 solves it for the same e: with ρ(x, y, z) = (z, y, x), ρ∘(e⊗B)∘ρ = (τ·B)⊗e
 and ρ∘(B⊗e)∘ρ = e⊗(τ·B), so ρ carries each side of the equation for B to the
 other side of the one for τ·B.  τ commutes with every σ⊗σ, so the search for
-one e visits only the lex-least table of each orbit of Stab(e) × ⟨τ⟩,
+one e visits only the least table of each orbit of Stab(e) × ⟨τ⟩,
 Stab(e) = {σ : σ∘e = e∘σ}, and counts or lists the whole orbit; under
 ``--e all`` it solves one e per conjugacy class and carries the solutions
 over to the other members.
+
+The search fills the cells (x, y) in shells by max(x, y), the order of SEM
+and Mace4: a shell's cells name only elements of the shells up to it, so the
+triples over a small block of elements are decided early.  "Least" compares
+tables cell by cell in that order.
 """
 
 from __future__ import annotations
@@ -388,8 +393,10 @@ def _reading(table, pos: int, triples, lookups) -> list:
     first unassigned one, so only a side stopped at ``pos`` can move.  A side
     stopped before its second entry anywhere else leaves nothing to compare,
     so such triples are left out as well, among them every triple whose
-    first read on either side is an unassigned entry past ``pos``.  The
-    triples kept are in the order of ``triples``.
+    first read on either side is an unassigned entry other than ``pos``.
+    Only ``pos`` is compared with, so the order in which the entries are
+    filled does not matter.  The triples kept are in the order of
+    ``triples``.
     """
     hi, _, slo, sehi, elo, _ = lookups
     out = []
@@ -428,27 +435,44 @@ def _reading(table, pos: int, triples, lookups) -> list:
     return out
 
 
-def _undecided(table, pos: int, live):
-    """Compare σ·T with T on the entries both determine, for each σ in ``live``.
+def _cell_order(s: int) -> list[int]:
+    """The cells s*x + y of X⊗X in the order the search fills them: in shells
+    by max(x, y), each shell by min(x, y), and (x, y) before (y, x).  Every
+    cell of a shell names only elements of the shells up to it.  At s ≤ 2
+    this is row-major; at s = 3 it is 0, 1, 3, 4, 2, 6, 5, 7, 8."""
 
-    ``live`` holds (σ⊗σ, its inverse, q) for the σ whose comparison is still
-    open, q being the first entry not yet seen equal.  Entries 0..pos of T
-    are assigned, and (σ·T)[q] = σ⊗σ(T[σ⊗σ⁻¹(q)]) is known when that index is
-    too.  Returns None if some σ·T is lex-smaller than T; otherwise the σ still
-    open, dropping those with σ·T already larger, since further entries decide
+    def key(c):
+        x, y = divmod(c, s)
+        return max(x, y), min(x, y), x > y
+
+    return sorted(range(s * s), key=key)
+
+
+def _undecided(table, depth: int, order, live):
+    """Compare σ·T with T in cell order on the cells both determine, for each
+    σ in ``live``.
+
+    ``live`` holds (σ⊗σ, sources, ready, d) for the σ whose comparison is
+    still open, d being the first depth whose cell is not yet seen equal.  The
+    cells ``order[0..depth]`` of T are assigned, and (σ·T)[c] =
+    σ⊗σ(T[σ⊗σ⁻¹(c)]) at c = order[d] is known from depth ready[d] on, the
+    later of d and the depth of its source, sources[d] = σ⊗σ⁻¹(c).  Returns
+    None if some σ·T is smaller than T in cell order; otherwise the σ still
+    open, dropping those with σ·T already larger, since further cells decide
     neither of these again.
     """
     kept = []
-    for pairs, inverse, q in live:
-        while q <= pos and inverse[q] <= pos:
-            w = pairs[table[inverse[q]]]
-            if w != table[q]:
-                if w < table[q]:
+    for pairs, sources, ready, d in live:
+        while ready[d] <= depth:
+            w = pairs[table[sources[d]]]
+            v = table[order[d]]
+            if w != v:
+                if w < v:
                     return None
                 break
-            q += 1
+            d += 1
         else:
-            kept.append((pairs, inverse, q))
+            kept.append((pairs, sources, ready, d))
     return kept
 
 
@@ -460,47 +484,60 @@ def _solve_branch(args):
     evaluations spent on them.  A branch stops once ``nodes`` exceeds
     ``budget``.
 
-    Entries are assigned in index order by a depth-first search that keeps its
-    own stack, one frame per assigned entry: the values left to try there,
-    the triples ``_reading`` picks for that position, and the σ still open.
-    Each candidate value re-checks only those triples; the rest kept the
-    verdict they had at the parent, which passed.  Position 0 starts from the
-    empty table, so the root gets the same exact check.
+    Cells are assigned in the order of ``_cell_order``, whose first cell is
+    0, by a depth-first search that keeps its own stack, one frame per
+    assigned cell: the values left to try there, the triples ``_reading``
+    picks for that cell, and the σ still open.  Each candidate value
+    re-checks only those triples; the rest kept the verdict they had at the
+    parent, which passed.  The first cell starts from the empty table, so the
+    root gets the same exact check.
 
-    The triples are kept in one lex list, grown by ``_triples_from(s, e,
-    pos)`` the first time the search reaches pos, so it holds at most s³.
-    Its first s*(pos+1) entries are the triples with s*x+y <= pos, and only
-    they can be watched at pos: entries past pos are unassigned, so the rest
-    stop on the left before reading pos, and ``_reading`` drops the triples
-    of the prefix that stop on the right at an entry past pos.
+    The triples are kept in one list, grown by ``_triples_from(s, e, cell)``
+    the first time the search reaches a depth, so it holds at most s³.  Its
+    first s*(depth+1) entries are the triples whose cell s*x+y is assigned,
+    and only they can be watched: the rest stop on the left at an unassigned
+    cell that is not the current one, and ``_reading`` drops the triples of
+    the prefix that stop on the right at such a cell.
 
     ``group`` is a group of permutations π of the pair indices, each a
     tuple, that carry solutions for e to solutions for e under
     (π·T)[π(q)] = π(T[q]): ``_search_group`` builds Stab(e) × ⟨τ⟩.  A table
-    that passes is cut when some π·T is lex-smaller (``_undecided``), so each
-    leaf is the lex-least member of its orbit, and the leaf stands for the
-    whole orbit: |group| / |Stab(T)| solutions, listed in no particular
-    order.  With the trivial group this is the full search.
+    that passes is cut when some π·T is smaller in cell order
+    (``_undecided``), so each leaf is the least member of its orbit in cell
+    order, and the leaf stands for the whole orbit: |group| / |Stab(T)|
+    solutions, listed in no particular order.  With the trivial group this
+    is the full search.
     """
     s, e, group, first, bijective, count_only, budget = args
     n2 = s * s
     lookups = _lookups(s, e)
-    lex: list[tuple[int, int, int, int]] = []
+    order = _cell_order(s)
+    triples: list[tuple[int, int, int, int]] = []
     acting = [pairs for pairs in group if pairs != tuple(range(n2))]
     table = [-1] * n2
     used = [False] * n2
     found = 0 if count_only else []
     nodes = evals = 0
 
-    def frame(pos: int, values, live) -> tuple:
-        if len(lex) == s * pos:
-            lex.extend(_triples_from(s, e, pos))
-        return iter(values), _reading(table, pos, islice(lex, s * (pos + 1)), lookups), live
+    def frame(depth: int, values, live) -> tuple:
+        cell = order[depth]
+        if len(triples) == s * depth:
+            triples.extend(_triples_from(s, e, cell))
+        return iter(values), _reading(table, cell, islice(triples, s * (depth + 1)), lookups), live
 
-    live = [(pairs, sorted(range(n2), key=pairs.__getitem__), 0) for pairs in acting]
+    # the depth of each cell, and for each σ the source of each depth's cell
+    # and the depth from which (σ·T) there is known; n2 ends every comparison
+    depth_of = sorted(range(n2), key=order.__getitem__)
+    live = []
+    for pairs in acting:
+        inverse = sorted(range(n2), key=pairs.__getitem__)
+        sources = [inverse[c] for c in order]
+        ready = [max(d, depth_of[q]) for d, q in enumerate(sources)]
+        live.append((pairs, sources, [*ready, n2], 0))
     stack = [frame(0, (first,), live)]
     while stack:
-        pos = len(stack) - 1
+        depth = len(stack) - 1
+        cell = order[depth]
         values, watch, live = stack[-1]
         for v in values:
             if bijective and used[v]:
@@ -508,19 +545,19 @@ def _solve_branch(args):
             nodes += 1
             if nodes > budget:
                 return found, nodes, evals
-            table[pos] = v
+            table[cell] = v
             bad = _first_violation(table, watch, lookups)
             evals += bad or len(watch)
             if bad:
                 continue
             kept = live
             if live:
-                kept = _undecided(table, pos, live)
+                kept = _undecided(table, depth, order, live)
                 if kept is None:
                     continue
-            if pos + 1 < n2:
+            if depth + 1 < n2:
                 used[v] = True
-                stack.append(frame(pos + 1, range(n2), kept))
+                stack.append(frame(depth + 1, range(n2), kept))
                 break
             if count_only:
                 found += len(group) // (1 + len(kept))
@@ -528,9 +565,9 @@ def _solve_branch(args):
                 found.extend({tuple(table), *(_act(pairs, table) for pairs in acting)})
         else:
             stack.pop()
-            table[pos] = -1
-            if pos:
-                used[table[pos - 1]] = False
+            table[cell] = -1
+            if depth:
+                used[table[order[depth - 1]]] = False
     return found, nodes, evals
 
 
@@ -572,12 +609,12 @@ def Pool(processes: int):
 def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
     """Exhaustive pruned search for YBE solutions on a single carrier.
 
-    Candidate braidings are enumerated table-entry by table-entry in
-    lexicographic order, one lex-least table per orbit of Stab(e) × ⟨τ⟩, the
-    obstructor's stabilizer and the factor swap, the stabilizer counting only
-    when it has at most s² elements (otherwise the group is ⟨τ⟩); output is ordered
-    lexicographically in (e, B) and is identical regardless of the worker
-    count, and so are the work counters.  Under ``e_spec="all"`` only the
+    Candidate braidings are enumerated cell by cell in the shell order of
+    ``_cell_order``, one table per orbit of Stab(e) × ⟨τ⟩, the obstructor's
+    stabilizer and the factor swap: the least in cell order.  The stabilizer
+    counts only when it has at most s² elements (otherwise the group is
+    ⟨τ⟩).  Output is ordered lexicographically in (e, B) and is identical
+    regardless of the worker count, and so are the work counters.  Under ``e_spec="all"`` only the
     lex-least idempotent of each conjugacy class is searched; classical mode
     takes only the identity, as check_ybe does.  Raises SearchSpaceTooLarge
     once more than ``max_nodes`` candidate tables have been tested, and
@@ -613,7 +650,7 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
     # checked in task order, so whether the bound is hit does not depend on the
     # jobs.  A solve with more than one job forks when s >= 3: every size-2
     # solve tests at most 248 tables, too few to pay for starting a pool, and
-    # every size-3 solve at least 5,084.  One pool, started before the first
+    # every size-3 solve at least 2,555.  One pool, started before the first
     # branch, runs every class's s² branches; only one class's are in flight at
     # a time, so it gets at most s² workers.
     # Idempotents are conjugate exactly when their fibre sizes agree, and the

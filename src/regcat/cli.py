@@ -513,15 +513,28 @@ SUBCOMMANDS = {
 HANDLERS = {name: handler for name, (_, handler, _) in SUBCOMMANDS.items()}
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser, which rejects the arguments it does not take
+    with its own usage rather than leaving them to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return ns, extras
+
+
 def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """The regcat parser, with arguments only for the subcommands named in ``argv``.
 
     Every subcommand is listed with its help, so the top-level help and
     errors do not depend on ``argv``; argparse runs at most one subcommand's
-    parser, and it is always one named in ``argv``.
+    parser, and it is always one named in ``argv``.  An argument after the
+    subcommand that it does not take is reported with the subcommand's
+    usage, one before it with the top-level usage.
     """
     parser = argparse.ArgumentParser(prog="regcat", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     for name, (help, _, arguments) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help)
         if name in argv:

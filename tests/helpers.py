@@ -3,12 +3,25 @@
 Oracles here are deliberately naive (full enumeration, pointwise filters) so
 they stay independent of the library code paths they check.  The library
 runs none of this module: ``all_cycles`` lists the library walk's cycles for
-the tests, and ``ybe_side_maps`` is the compositional route to the YBE.
+the tests, ``ybe_side_maps`` is the compositional route to the YBE, and
+``row_major_branch`` is the YBE kernel as it was before it filled cells in
+shell order.
 """
 
-from itertools import product
+from itertools import islice, permutations, product
 
-from regcat.braiding import Braiding, YbeResult, _solve_branch, _ybe_sides, prebraid
+from regcat.braiding import (
+    Braiding,
+    YbeResult,
+    _act,
+    _consistent,
+    _first_violation,
+    _lookups,
+    _reading,
+    _triples_from,
+    _ybe_sides,
+    prebraid,
+)
 from regcat.core import FinMap, FiniteSet, compose, compose_path
 from regcat.diagrams import (
     CommutativityReport,
@@ -309,14 +322,14 @@ def oracle_check_ybe(b, e):
 
 
 def full_ybe_search(s, e, bijective=False, count_only=False):
-    """The YBE search without symmetry reduction: the solver's kernel with the
+    """The YBE search without symmetry reduction: the row-major kernel with the
     trivial group, summed over every first entry.  Returns (found, nodes,
     triples), found being the count or the solution tables in lex order."""
     return kernel_ybe_search(s, e, [tuple(range(s))], bijective, count_only)
 
 
 def kernel_ybe_search(s, e, sigmas, bijective=False, count_only=False):
-    """The solver's kernel with the group {σ⊗σ : σ in sigmas} on the pair
+    """The row-major kernel with the group {σ⊗σ : σ in sigmas} on the pair
     indices, without the factor swap, summed over every first entry; sigmas
     must be a group of permutations commuting with e.  Returns what
     full_ybe_search does; a listing comes in lex order."""
@@ -324,9 +337,180 @@ def kernel_ybe_search(s, e, sigmas, bijective=False, count_only=False):
     found, nodes, triples = (0 if count_only else []), 0, 0
     for first in range(s * s):
         args = (s, tuple(e), group, first, bijective, count_only, float("inf"))
-        f, n, t = _solve_branch(args)
+        f, n, t = row_major_branch(args)
         found, nodes, triples = found + f, nodes + n, triples + t
     return found if count_only else sorted(found), nodes, triples
+
+
+def ordered_ybe_search(s, e, order, bijective=False):
+    """The symmetry-reduced YBE search in a given cell order, written out
+    naively: cells are assigned in ``order``, every candidate table is checked
+    on all s³ triples with ``_consistent``, and it is cut when some π·T is
+    smaller than T in ``order`` on the cells both determine, π running over
+    σ⊗σ and τ∘(σ⊗σ) for every permutation σ that commutes with e, τ swapping
+    the factors.  Each leaf counts and lists its whole orbit.  Returns
+    (count, nodes, tables), the tables in lex order; for 1 <= s."""
+    n2 = s * s
+    triples = list(product(range(s), repeat=3))
+    group = set()
+    for p in permutations(range(s)):
+        if all(p[e[x]] == e[p[x]] for x in range(s)):
+            group.add(tuple(s * p[x] + p[y] for x in range(s) for y in range(s)))
+            group.add(tuple(s * p[y] + p[x] for x in range(s) for y in range(s)))
+    table = [-1] * n2
+    tables = []
+    nodes = 0
+
+    def moved(pi):
+        out = [-1] * n2
+        for q, v in enumerate(table):
+            if v >= 0:
+                out[pi[q]] = pi[v]
+        return out
+
+    def least():
+        for pi in group:
+            other = moved(pi)
+            for c in order:
+                if other[c] < 0 or table[c] < 0:
+                    break
+                if other[c] != table[c]:
+                    if other[c] < table[c]:
+                        return False
+                    break
+        return True
+
+    def extend(depth):
+        nonlocal nodes
+        cell = order[depth]
+        for v in range(n2):
+            if bijective and v in table:
+                continue
+            nodes += 1
+            table[cell] = v
+            if not (_consistent(s, table, e, triples) and least()):
+                continue
+            if depth + 1 < n2:
+                extend(depth + 1)
+            else:
+                tables.extend({tuple(moved(pi)) for pi in group})
+        table[cell] = -1
+
+    extend(0)
+    return len(tables), nodes, sorted(tables)
+
+
+# --- frozen row-major kernel -------------------------------------------------------
+# The solver's search as it was before it filled cells in shell order, kept
+# verbatim so the counters pinned on it stay comparable across changes.
+
+
+def _row_major_undecided(table, pos: int, live):
+    """Compare σ·T with T on the entries both determine, for each σ in ``live``.
+
+    ``live`` holds (σ⊗σ, its inverse, q) for the σ whose comparison is still
+    open, q being the first entry not yet seen equal.  Entries 0..pos of T
+    are assigned, and (σ·T)[q] = σ⊗σ(T[σ⊗σ⁻¹(q)]) is known when that index is
+    too.  Returns None if some σ·T is lex-smaller than T; otherwise the σ still
+    open, dropping those with σ·T already larger, since further entries decide
+    neither of these again.
+    """
+    kept = []
+    for pairs, inverse, q in live:
+        while q <= pos and inverse[q] <= pos:
+            w = pairs[table[inverse[q]]]
+            if w != table[q]:
+                if w < table[q]:
+                    return None
+                break
+            q += 1
+        else:
+            kept.append((pairs, inverse, q))
+    return kept
+
+
+def row_major_branch(args):
+    """The solver's kernel as it was when it filled the table in row-major
+    order, frozen as an oracle: solutions with a fixed first table entry.
+
+    Returns ``(found, nodes, triples)``: the solution tables, or only their
+    number under ``count_only``; the candidate tables tested; and the triple
+    evaluations spent on them.  A branch stops once ``nodes`` exceeds
+    ``budget``.
+
+    Entries are assigned in index order by a depth-first search that keeps its
+    own stack, one frame per assigned entry: the values left to try there,
+    the triples ``_reading`` picks for that position, and the σ still open.
+    Each candidate value re-checks only those triples; the rest kept the
+    verdict they had at the parent, which passed.  Position 0 starts from the
+    empty table, so the root gets the same exact check.
+
+    The triples are kept in one lex list, grown by ``_triples_from(s, e,
+    pos)`` the first time the search reaches pos, so it holds at most s³.
+    Its first s*(pos+1) entries are the triples with s*x+y <= pos, and only
+    they can be watched at pos: entries past pos are unassigned, so the rest
+    stop on the left before reading pos, and ``_reading`` drops the triples
+    of the prefix that stop on the right at an entry past pos.
+
+    ``group`` is a group of permutations π of the pair indices, each a
+    tuple, that carry solutions for e to solutions for e under
+    (π·T)[π(q)] = π(T[q]): ``_search_group`` builds Stab(e) × ⟨τ⟩.  A table
+    that passes is cut when some π·T is lex-smaller
+    (``_row_major_undecided``), so each leaf is the lex-least member of its
+    orbit, and the leaf stands for the whole orbit: |group| / |Stab(T)|
+    solutions, listed in no particular order.  With the trivial group this
+    is the full search.
+    """
+    s, e, group, first, bijective, count_only, budget = args
+    n2 = s * s
+    lookups = _lookups(s, e)
+    lex: list[tuple[int, int, int, int]] = []
+    acting = [pairs for pairs in group if pairs != tuple(range(n2))]
+    table = [-1] * n2
+    used = [False] * n2
+    found = 0 if count_only else []
+    nodes = evals = 0
+
+    def frame(pos: int, values, live) -> tuple:
+        if len(lex) == s * pos:
+            lex.extend(_triples_from(s, e, pos))
+        return iter(values), _reading(table, pos, islice(lex, s * (pos + 1)), lookups), live
+
+    live = [(pairs, sorted(range(n2), key=pairs.__getitem__), 0) for pairs in acting]
+    stack = [frame(0, (first,), live)]
+    while stack:
+        pos = len(stack) - 1
+        values, watch, live = stack[-1]
+        for v in values:
+            if bijective and used[v]:
+                continue
+            nodes += 1
+            if nodes > budget:
+                return found, nodes, evals
+            table[pos] = v
+            bad = _first_violation(table, watch, lookups)
+            evals += bad or len(watch)
+            if bad:
+                continue
+            kept = live
+            if live:
+                kept = _row_major_undecided(table, pos, live)
+                if kept is None:
+                    continue
+            if pos + 1 < n2:
+                used[v] = True
+                stack.append(frame(pos + 1, range(n2), kept))
+                break
+            if count_only:
+                found += len(group) // (1 + len(kept))
+            else:
+                found.extend({tuple(table), *(_act(pairs, table) for pairs in acting)})
+        else:
+            stack.pop()
+            table[pos] = -1
+            if pos:
+                used[table[pos - 1]] = False
+    return found, nodes, evals
 
 
 # --- chain verdict oracle ----------------------------------------------------------

@@ -258,9 +258,10 @@ def test_criterion_10_solver_scale():
         YbeProblem(X, mode="regular", e_spec="identity", count_only=True, jobs=8)
     )
     ok = one.count == eight.count == 5707
-    # the symmetry-reduced search: one table per orbit of S_3 × ⟨τ⟩, τ the factor swap
-    ok = ok and one.nodes == eight.nodes == 64386 and one.triples == eight.triples
-    # the kernel with S_3 alone, the group the solver cut by before τ joined it
+    # the symmetry-reduced search: one table per orbit of S_3 × ⟨τ⟩, τ the factor swap,
+    # filled in shell order
+    ok = ok and one.nodes == eight.nodes == 41652 and one.triples == eight.triples
+    # the row-major kernel with S_3 alone, the group the solver cut by before τ joined it
     ok = ok and kernel_ybe_search(3, (0, 1, 2), permutations(range(3)), count_only=True) == (
         5707, 93951, 181447
     )

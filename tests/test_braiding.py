@@ -17,6 +17,7 @@ from helpers import (
     maps_between,
     naive_is_inner,
     oracle_check_ybe,
+    ordered_ybe_search,
     pointwise_compose,
     ybe_side_maps,
 )
@@ -25,6 +26,7 @@ from regcat.braiding import (
     Braiding,
     ObstructorAssignment,
     YbeProblem,
+    _cell_order,
     _consistent,
     _first_violation,
     _lookups,
@@ -339,14 +341,16 @@ class TestSolveYbe:
         assert seq.nodes > 12 and seq.triples > 0
 
     def test_work_counters_are_pinned(self):
-        # counts.triples is fixed by the order of the watch lists as well as their contents
+        # counts.triples is fixed by the order of the watch lists as well as their contents;
+        # at s = 3 both counters are those of the shell order (ordered_ybe_search has the nodes)
         X = S("U", 3)
-        pinned = [("identity", 64386, 124917), (fm("e", X, X, (0, 1, 0)), 210168, 393228)]
+        pinned = [("identity", 41652, 83180), (fm("e", X, X, (0, 1, 0)), 100314, 254431)]
         for spec, nodes, triples in pinned:
             res = solve_ybe(YbeProblem(X, e_spec=spec, count_only=True))
             assert (res.nodes, res.triples) == (nodes, triples)
         assert full_ybe_search(2, (0, 0), count_only=True) == (49, 128, 257)
-        # the kernel with S₃ alone, without the factor swap: the solver's counters before it
+        # the row-major kernel with S₃ alone, without the factor swap: the solver's counters
+        # before the swap joined the group and before the shell order
         assert kernel_ybe_search(3, (0, 1, 2), PERMUTATIONS[3], count_only=True) == (
             5707, 93951, 181447
         )
@@ -486,8 +490,8 @@ class TestParentFirst:
                 (min(jobs, 9), list(range(9)) * classes)]
             assert started == [1] * 9 * classes
 
-    # the size-3 --bijective solves: 5,084 nodes for the identity, 20,482 for --e all
-    @pytest.mark.parametrize("spec, total", [("identity", 5084), ("all", 20482)])
+    # the size-3 --bijective solves: 2,833 nodes for the identity, 12,564 for --e all
+    @pytest.mark.parametrize("spec, total", [("identity", 2833), ("all", 12564)])
     def test_a_forked_solve_gives_what_one_job_gives(self, pools, spec, total):
         problem = YbeProblem(S("U", 3), e_spec=spec, require_bijective=True)
         expected = outcome(solve_ybe(problem))
@@ -519,9 +523,10 @@ class TestParentFirst:
         problem = YbeProblem(S("U", 3), e_spec="all", require_bijective=True, jobs=2)
         assert outcome(solve_ybe(problem)) == outcome(solve_ybe(problem._replace(jobs=1)))
 
-    # node budgets for the 5,084-node identity solve: at the roots, inside
-    # branch 1, at the end of branch 4
-    @pytest.mark.parametrize("budget", [0, 1647, 3460])
+    # node budgets for the 2,833-node identity solve, whose branches end at
+    # 1,401, 1,823, 1,824, 1,825, 2,212, ...: at the roots, inside branch 1,
+    # at the end of branch 4
+    @pytest.mark.parametrize("budget", [0, 1647, 2212])
     def test_a_split_solve_on_worker_processes(self, budget):
         problem = YbeProblem(S("U", 3), require_bijective=True, max_nodes=budget)
         refusals = []
@@ -583,6 +588,21 @@ def search_tables(draw):
     return s, e, table, pos
 
 
+@st.composite
+def shell_search_tables(draw):
+    """A partial table as the search holds it at some depth: the cells before
+    that depth in ``_cell_order`` assigned, the cell at it and every later one
+    unassigned."""
+    s = draw(st.integers(min_value=1, max_value=3))
+    e = draw(st.sampled_from(IDEMPOTENT_TABLES[s]))
+    order = _cell_order(s)
+    depth = draw(st.integers(min_value=0, max_value=s * s - 1))
+    table = [-1] * (s * s)
+    for c in order[:depth]:
+        table[c] = draw(st.integers(min_value=0, max_value=s * s - 1))
+    return s, e, table, depth
+
+
 class TestIncrementalCheck:
     @settings(max_examples=300)
     @given(partial_tables())
@@ -633,6 +653,21 @@ class TestIncrementalCheck:
         within = [t for t in full if t[0] <= pos and t[2] <= pos]
         prefix = full[: s * (pos + 1)]
         assert _reading(table, pos, prefix, lookups) == _reading(table, pos, within, lookups)
+
+    @settings(max_examples=300)
+    @given(shell_search_tables())
+    def test_cell_order_prefix_gives_the_watch_list_of_the_triples_within_reach(self, case):
+        # the search reads the first s*(depth+1) triples of its list in cell order;
+        # those that also read no unassigned cell but the current one on the right
+        # are the ones that can be watched, in the same order
+        s, e, table, depth = case
+        order, lookups = _cell_order(s), _lookups(s, e)
+        listed = [t for c in order for t in _triples_from(s, e, c)]
+        reach = set(order[: depth + 1])
+        within = [t for t in listed if t[0] in reach and t[2] in reach]
+        prefix = listed[: s * (depth + 1)]
+        cell = order[depth]
+        assert _reading(table, cell, prefix, lookups) == _reading(table, cell, within, lookups)
 
     def test_incremental_verdict_on_every_size2_prefix(self):
         # every consistent prefix the search can meet, every value at the next position
@@ -768,10 +803,48 @@ class TestSymmetryReduction:
         es = [fm("e", X, X, (0, 0, 2)), fm("e", X, X, (2, 1, 2))]
         monkeypatch.setattr(braiding, "_idempotents", lambda _: iter(es))
         listed = solve_ybe(YbeProblem(X, e_spec="all", jobs=jobs))
-        assert listed.nodes == 623187  # those of (0,0,2) alone
+        assert listed.nodes == 394371  # those of (0,0,2) alone
         for e in es:
             got = [b.map.table for b, f in listed.solutions if f is e]
             assert got == _full_listing(3, e.table)
+
+
+# every idempotent at s <= 2; at s = 3 the identity, (0,1,0) and the bijective identity
+ORDERED_CASES = [(s, e, False) for s in (1, 2) for e in IDEMPOTENT_TABLES[s]] + [
+    (3, (0, 1, 2), False), (3, (0, 1, 0), False), (3, (0, 1, 2), True),
+]
+
+
+@cache
+def _ordered_search(s, e, bijective):
+    return ordered_ybe_search(s, e, _cell_order(s), bijective)
+
+
+class TestShellOrder:
+    @pytest.mark.parametrize("s", range(6))
+    def test_cells_come_in_shells(self, s):
+        order = _cell_order(s)
+        assert sorted(order) == list(range(s * s))
+        shells = [max(divmod(c, s)) for c in order]
+        assert shells == sorted(shells)
+        if s <= 2:
+            assert order == list(range(s * s))  # so size-2 counters are those of row-major
+        if s == 3:
+            assert order == [0, 1, 3, 4, 2, 6, 5, 7, 8]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("s, e, bijective", ORDERED_CASES)
+    def test_solve_equals_the_ordered_oracle(self, s, e, bijective, jobs):
+        # the solver's listings of these cases at jobs 1 and 2 are held to the
+        # frozen row-major search by TestSymmetryReduction
+        count, nodes, tables = _ordered_search(s, e, bijective)
+        assert tables == _full_listing(s, e, bijective)
+        X = S("U", s)
+        problem = YbeProblem(
+            X, e_spec=fm("e", X, X, e), require_bijective=bijective, jobs=jobs, count_only=True
+        )
+        counted = solve_ybe(problem)
+        assert (counted.count, counted.nodes) == (count, nodes)
 
 
 class TestStabilizer:

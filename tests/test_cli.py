@@ -521,6 +521,17 @@ class TestTopLevel:
         out, err = capsys.readouterr()
         assert out == "" and err.endswith("error: unrecognized arguments: --max-space 5\n")
 
+    def test_an_option_a_subcommand_does_not_take_is_reported_with_its_usage(self, capsys):
+        assert main(["check-map", MAPS, "--map", "f", "--max-space", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: regcat check-map [-h] ")
+        assert err.endswith("\nregcat check-map: error: unrecognized arguments: --max-space 5\n")
+        # one placed before the subcommand is left to the top-level parser
+        assert main(["--bogus", "check-map", MAPS, "--map", "f"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: regcat [-h]")
+        assert err.endswith("\nregcat: error: unrecognized arguments: --bogus\n")
+
     def test_text_output_mentions_verdict(self, capsys):
         code, out = run(
             capsys, "diagram", TRIANGLE, "--name", "D",
