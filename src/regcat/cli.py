@@ -372,6 +372,7 @@ def _cmd_functor(ws: Workspace, ns) -> Report:
             "e_preserved": rep.e_preserved,
         },
         witnesses=witnesses,
+        counts=_walk_counts(rep),
     )
 
 
@@ -395,7 +396,7 @@ def _cmd_braid_check(ws: Workspace, ns) -> Report:
         result["regular_with_canonical_star"] = br.check_regular_braiding(b, canon)
     if ns.e:
         e = ws.require_map(ns.e)
-        res = br.check_ybe(b, e, "regular")
+        res = br.check_ybe(b, e)
         result["ybe_holds"] = res.holds
         if not res.holds:
             witnesses.append({"kind": "ybe", "triple": list(res.witness)})
@@ -422,7 +423,6 @@ def _cmd_ybe(ws: Optional[Workspace], ns) -> Report:
     e_spec = ns.e if named else FinMap("e", carrier, carrier, tuple(int(v) for v in entries))
     problem = br.YbeProblem(
         carrier=carrier,
-        mode=ns.mode,
         e_spec=e_spec,
         require_bijective=ns.bijective,
         jobs=ns.jobs,

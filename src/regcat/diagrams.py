@@ -545,6 +545,11 @@ class FunctorReport(NamedTuple):
     composition_preserved: bool
     e_preserved: bool
     violations: tuple[tuple, ...]
+    paths: int = 0
+    cycles: int = 0
+    states: int = 0
+
+    __eq__, __ne__, __hash__ = _verdict_eq, _verdict_ne, _verdict_hash
 
 
 def check_regular_functor(
@@ -618,4 +623,5 @@ def check_regular_functor(
             obstructed.extend(("obstructor", c, c2) for c2, e in targets if e != p)
     obstructed.sort(key=lambda v: v[1].length)
     violations.extend(obstructed)
-    return FunctorReport(not composition, len(violations) == composition, tuple(violations))
+    work = (a + b for a, b in zip(src_walk.counts(), tgt_walk.counts()))  # both walks' work
+    return FunctorReport(not composition, len(violations) == composition, tuple(violations), *work)

@@ -185,14 +185,17 @@ def test_criterion_07_triangle_fixture():
 
 
 def test_criterion_08_ybe_reduction():
+    # with e = Id the regularized equation is the classical braid relation, held here to
+    # the naive pointwise sweep, an independent route
     X = S("A", 2)
     e = identity(X)
+    classical = _naive_ybe_solutions(2, (0, 1), False)
     ok = True
     for tab in product(range(4), repeat=4):
         b = braiding_from_table("b", X, X, tab)
-        if check_ybe(b, e, "regular").holds != check_ybe(b, e, "classical").holds:
+        if check_ybe(b, e).holds != (tab in classical):
             ok = False
-    report(8, ok, "regular mode with e=Id matches classical on all 256 braidings")
+    report(8, ok, "regular check with e=Id matches the classical relation on all 256 braidings")
 
 
 def _naive_ybe_solutions(s, e, bijective):
@@ -224,7 +227,7 @@ def test_criterion_09_solver_vs_oracle():
         got = {
             b.map.table
             for b, _ in solve_ybe(
-                YbeProblem(X, mode="classical", require_bijective=bij)
+                YbeProblem(X, e_spec="identity", require_bijective=bij)
             ).solutions
         }
         if got != _naive_ybe_solutions(2, (0, 1), bij):
@@ -233,7 +236,7 @@ def test_criterion_09_solver_vs_oracle():
         got = {
             (e.table, b.map.table)
             for b, e in solve_ybe(
-                YbeProblem(X, mode="regular", e_spec="all", require_bijective=bij)
+                YbeProblem(X, e_spec="all", require_bijective=bij)
             ).solutions
         }
         naive = {
@@ -245,7 +248,7 @@ def test_criterion_09_solver_vs_oracle():
             ok = False
     swap_const0 = ((0, 0), (0, 2, 1, 3)) in {
         (e.table, b.map.table)
-        for b, e in solve_ybe(YbeProblem(X, mode="regular", e_spec="all")).solutions
+        for b, e in solve_ybe(YbeProblem(X, e_spec="all")).solutions
     }
     ok = ok and swap_const0
     report(9, ok, "solver output equals naive enumeration; (swap, const0) present")
@@ -253,9 +256,9 @@ def test_criterion_09_solver_vs_oracle():
 
 def test_criterion_10_solver_scale():
     X = S("A", 3)
-    one = solve_ybe(YbeProblem(X, mode="regular", e_spec="identity", count_only=True))
+    one = solve_ybe(YbeProblem(X, e_spec="identity", count_only=True))
     eight = solve_ybe(
-        YbeProblem(X, mode="regular", e_spec="identity", count_only=True, jobs=8)
+        YbeProblem(X, e_spec="identity", count_only=True, jobs=8)
     )
     ok = one.count == eight.count == 5707
     # the symmetry-reduced search: one table per orbit of S_3 × ⟨τ⟩, τ the factor swap,

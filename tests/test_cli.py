@@ -182,6 +182,9 @@ class TestDiagramCommands:
          {"paths": 9, "cycles": 1, "states": 9}),
         (("obstruction", TRIANGLE, "--name", "D", "--object", "X", "--max-n", "5"),
          {"paths": 3, "cycles": 1, "states": 10}),
+        # the source and the target walk, 9 prefixes and 3 closed paths each
+        (("functor", TRIANGLE, "--from", "D", "--to", "D", "--objects", "X=X,Y=Y,Z=Z",
+          "--maps", "f=f,g=g,h=h", "--n", "3"), {"paths": 18, "cycles": 6, "states": 0}),
         # p, q: A -> B disagree, so the pass stops after 4 states; the walk then
         # composes 8 prefixes to find the first disagreeing pair
         (("diagram", "<pq>", "--name", "D", "--mode", "commutative", "--max-len", "3"),
@@ -216,7 +219,9 @@ class TestDiagramCommands:
         argv = [str(pq) if a == "<pq>" else a for a in argv]
         code, rep = run_json(capsys, *argv)
         states = rep["counts"].get("states", 0)
-        assert rep["counts"].get("paths", paths) == paths
+        # the functor reports its two walks together
+        walks = 2 if argv[0] == "functor" else 1
+        assert rep["counts"].get("paths", walks * paths) == walks * paths
         assert run(capsys, *argv, "--max-space", str(max(states, paths)))[0] == code
         for count, unit in ((states, "element states"), (paths, "path prefixes")):
             if count:
@@ -379,6 +384,14 @@ class TestBraidCommands:
             "", "error: search space of 10000000000 candidate tables exceeds the bound 10\n"))
         assert peak < 1_000_000
 
+    def test_ybe_counts_a_member_at_its_class_representatives_cost(self, capsys):
+        # table:2,2,2 is searched through table:0,0,0, whatever member is asked for
+        argv = ("ybe", "--size", "3", "--mode", "regular", "--bijective", "--count-only")
+        _, member = run_json(capsys, *argv, "--e", "table:2,2,2")
+        _, rep = run_json(capsys, *argv, "--e", "table:0,0,0")
+        assert member["counts"] == rep["counts"] == {
+            "solutions": 150, "nodes": 2555, "triples": 4463}
+
     def test_ybe_reports_work_counters(self, capsys):
         argv = ("ybe", "--size", "2", "--mode", "regular", "--e", "all")
         _, one = run_json(capsys, *argv, "--jobs", "1")
@@ -428,7 +441,7 @@ def _cycle(base, *edges):
 class TestFailureWitnesses:
     # each command's --json report when its check fails, pinned byte for byte
 
-    @pytest.mark.parametrize("workspace, argv, result, witnesses", [
+    @pytest.mark.parametrize("workspace, argv, result, witnesses, counts", [
         (FUNCTOR, ["functor", "--from", "S", "--to", "T", "--objects", "A=B",
                    "--maps", "i=k,t=w", "--n", "2"],
          {"from": "S", "to": "T", "n": 2, "composition_preserved": False,
@@ -440,33 +453,35 @@ class TestFailureWitnesses:
           {"kind": "obstructor", "source_cycle": _cycle("A", "i", "t"),
            "target_cycle": _cycle("B", "w", "k")},
           {"kind": "obstructor", "source_cycle": _cycle("A", "t", "i"),
-           "target_cycle": _cycle("B", "k", "w")}]),
+           "target_cycle": _cycle("B", "k", "w")}],
+         # the source and the target walk together; no element pass runs
+         {"paths": 8, "cycles": 8, "states": 0}),
         (BRAIDINGS, ["braid-check", "--braiding", "swap", "--star", "flat"],
          {"braiding": "swap", "bijective": True, "regular_with_star": False},
-         [{"kind": "regularity", "star": "flat"}]),
+         [{"kind": "regularity", "star": "flat"}], {}),
         (BRAIDINGS, ["braid-check", "--braiding", "bad", "--e", "idA"],
          {"braiding": "bad", "bijective": False,
           "canonical_star": {"(a0,a0)": "(a0,a1)", "(a0,a1)": "(a0,a0)",
                              "(a1,a0)": "(a0,a0)", "(a1,a1)": "(a0,a0)"},
           "regular_with_canonical_star": True, "ybe_holds": False},
-         [{"kind": "ybe", "triple": ["a0", "a0", "a0"]}]),
+         [{"kind": "ybe", "triple": ["a0", "a0", "a0"]}], {}),
         (PROJECTORS, ["projector", "--map", "f", "--stars", "s"],
          {"map": "f", "order": 1, "side": "codomain", "idempotent": False,
           "absorption": False, "projector": {"a": "b", "b": "c", "c": "a"}},
-         [{"projector": {"a": "b", "b": "c", "c": "a"}}]),
+         [{"projector": {"a": "b", "b": "c", "c": "a"}}], {}),
         (PROJECTORS, ["projector", "--map", "g", "--stars", "k"],
          {"map": "g", "order": 1, "side": "codomain", "idempotent": True,
           "absorption": False, "projector": {"a": "b", "b": "b", "c": "b"}},
-         [{"projector": {"a": "b", "b": "b", "c": "b"}}]),
+         [{"projector": {"a": "b", "b": "b", "c": "b"}}], {}),
     ], ids=["functor", "braid-check-star", "braid-check-e", "projector-not-idempotent",
             "projector-not-absorbing"])
-    def test_json_report_of_a_failure(self, workspace, argv, result, witnesses, tmp_path,
-                                      capsys):
+    def test_json_report_of_a_failure(self, workspace, argv, result, witnesses, counts,
+                                      tmp_path, capsys):
         path = tmp_path / "w.rcw"
         path.write_text(workspace)
         code, out = run(capsys, argv[0], str(path), *argv[1:], "--json")
         report = {"command": argv[0], "ok": False, "result": result,
-                  "witnesses": witnesses, "counts": {}}
+                  "witnesses": witnesses, "counts": counts}
         assert (code, out) == (1, json.dumps(report, indent=2) + "\n")
 
 

@@ -13,6 +13,7 @@ from regcat.cli import Report
 from regcat.core import FinMap, FiniteSet, ProductSet, Subset, _Record, compose, identity
 from regcat.diagrams import (
     CommutativityReport,
+    FunctorReport,
     ObstructionReport,
     RegularThreeCycle,
     SemicommutativityReport,
@@ -49,7 +50,8 @@ def test_subset_equality_and_hash():
 def test_walk_reports_compare_without_their_counters():
     for report, verdict in ((CommutativityReport, (True, ())),
                             (SemicommutativityReport, (False, (("absorption", None, "f"),))),
-                            (ObstructionReport, (2, None))):
+                            (ObstructionReport, (2, None)),
+                            (FunctorReport, (True, False, (("identity", "i"),)))):
         counted, bare = report(*verdict, paths=5, cycles=3), report(*verdict)
         assert counted == bare and not counted != bare and hash(counted) == hash(bare)
         assert (counted.paths, counted.cycles, bare.paths, bare.cycles) == (5, 3, 0, 0)
@@ -74,7 +76,7 @@ def test_fields_are_read_only(record, field):
 
 def test_ybe_problem_defaults():
     p = YbeProblem(X)
-    assert (p.carrier, p.mode, p.e_spec, p.require_bijective) == (X, "regular", "identity", False)
+    assert (p.carrier, p.e_spec, p.require_bijective) == (X, "identity", False)
     assert (p.jobs, p.count_only, p.max_nodes) == (1, False, DEFAULT_MAX_SPACE)
 
 
