@@ -35,32 +35,24 @@ from itertools import chain, groupby, islice, permutations, product
 from math import factorial, prod
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .core import FinMap, FiniteSet, ProductSet, _Record, compose, identity
+from .core import FinMap, FiniteSet, ProductSet, _Record, compose, identity, product_id
 from .errors import NotIdempotent, SearchSpaceTooLarge, TypeMismatch
 from .inverses import DEFAULT_MAX_SPACE, _OuterTables, is_inverse, section_inner_inverse
 
 
 class Braiding(_Record):
-    """A map X⊗Y -> Y⊗X on row-major product carriers."""
+    """A map X⊗Y -> Y⊗X.  Objects are identified by id, so the map's carriers
+    are checked by id only, and its row-major products are read from them."""
 
     _args = ("left", "right", "map")
     __slots__ = (*_args, "dom_product", "cod_product")
 
     def __init__(self, left: FiniteSet, right: FiniteSet, map: FinMap):
-        dom = ProductSet.of(left, right)
-        cod = ProductSet.of(right, left)
-        if map.dom.id != dom.carrier.id or map.cod.id != cod.carrier.id:
-            raise TypeMismatch(
-                f"{dom.carrier.id}->{cod.carrier.id}",
-                f"{map.dom.id}->{map.cod.id}",
-            )
-        self._fill(left, right, map, dom, cod)
-
-
-def braiding_from_table(name: str, X: FiniteSet, Y: FiniteSet, table) -> Braiding:
-    dom = ProductSet.of(X, Y)
-    cod = ProductSet.of(Y, X)
-    return Braiding(X, Y, FinMap(name, dom.carrier, cod.carrier, tuple(table)))
+        dom, cod = product_id((left, right)), product_id((right, left))
+        if map.dom.id != dom or map.cod.id != cod:
+            raise TypeMismatch(f"{dom}->{cod}", f"{map.dom.id}->{map.cod.id}")
+        self._fill(left, right, map, ProductSet((left, right), map.dom),
+                   ProductSet((right, left), map.cod))
 
 
 def _require_idempotent_endo(e: FinMap, obj: FiniteSet) -> None:
@@ -635,11 +627,12 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
         raise ValueError(f"bad obstructor spec {problem.e_spec!r}")
 
     require_root_budget(s, problem.max_nodes)
+    # the one carrier of X⊗X that every listed braiding's map shares
+    XX = None if problem.count_only else ProductSet.of(X, X).carrier
     if s == 0:
         # one empty braiding, vacuously a solution
-        b = braiding_from_table("B0", X, X, ())
-        sols = [(b, identity(X))]
-        return YbeSolutionSet([] if problem.count_only else sols, 1, nodes=1)
+        sols = [] if XX is None else [(Braiding(X, X, FinMap("B0", XX, XX, ())), identity(X))]
+        return YbeSolutionSet(sols, 1, nodes=1)
 
     # Every branch may test up to max_nodes tables and the running total is
     # checked in task order, so whether the bound is hit does not depend on the
@@ -681,5 +674,5 @@ def solve_ybe(problem: YbeProblem) -> YbeSolutionSet:
                 found = sorted(_act(pairs, tab) for tab in found)
             count += len(found)
             for tab in found:
-                solutions.append((braiding_from_table(f"B{len(solutions)}", X, X, tab), e))
+                solutions.append((Braiding(X, X, FinMap(f"B{len(solutions)}", XX, XX, tab)), e))
     return YbeSolutionSet(solutions, count, nodes, triples)

@@ -306,7 +306,7 @@ def _cmd_cycles3(ws: Workspace, ns) -> Report:
     from . import diagrams
 
     d = ws.build_diagram(ns.name)
-    found = diagrams.find_regular_3cycles(d, max_space=ns.max_space)
+    rep = diagrams.find_regular_3cycles(d, max_space=ns.max_space)
     return Report(
         command="cycles3",
         result={
@@ -317,10 +317,10 @@ def _cmd_cycles3(ws: Workspace, ns) -> Report:
                     "edges": [c.f.name, c.g.name, c.h.name],
                     "obstructor": _map_as_labels(c.obstructor),
                 }
-                for c in found
+                for c in rep.found
             ],
         },
-        counts={"cycles3": len(found)},
+        counts={"cycles3": len(rep.found), **_walk_counts(rep)},
     )
 
 

@@ -162,6 +162,11 @@ class Subset(_Record):
         return tuple(sorted(self.members))
 
 
+def product_id(factors: Iterable[FiniteSet]) -> str:
+    """The id of the product of ``factors``, such as ``(XxY)``."""
+    return "(" + "x".join(s.id for s in factors) + ")"
+
+
 class ProductSet(NamedTuple):
     """An ordered product of finite sets with a flat row-major carrier."""
 
@@ -174,8 +179,7 @@ class ProductSet(NamedTuple):
             "(" + ",".join(t) + ")"
             for t in product(*(s.elements for s in factors))
         ]
-        pid = "(" + "x".join(s.id for s in factors) + ")"
-        return ProductSet(tuple(factors), FiniteSet(pid, tuple(labels)))
+        return ProductSet(factors, FiniteSet(product_id(factors), tuple(labels)))
 
     def rank(self, indices: Sequence[int]) -> int:
         # leftmost factor most significant

@@ -490,16 +490,24 @@ class RegularThreeCycle(_Record):
         self._fill(x, y, z, f, g, h, e)
 
 
-def find_regular_3cycles(
-    d: Diagram, max_space: int = DEFAULT_MAX_SPACE
-) -> list[RegularThreeCycle]:
+class ThreeCycleReport(NamedTuple):
+    found: tuple[RegularThreeCycle, ...]
+    paths: int = 0
+    cycles: int = 0
+    states: int = 0
+
+    __eq__, __ne__, __hash__ = _verdict_eq, _verdict_ne, _verdict_hash
+
+
+def find_regular_3cycles(d: Diagram, max_space: int = DEFAULT_MAX_SPACE) -> ThreeCycleReport:
     """All regular 3-cycles of the diagram, one per rotation class.
 
     Directed 3-cycles of distinct edges are grouped up to cyclic rotation;
     for each class the lexicographically least rotation (by edge names)
     whose own regularity condition holds is emitted.  Classes come in the
     order of their least rotations.  The walk closes every rotation at its
-    own base, so each class is found whole.
+    own base, so each class is found whole.  The report carries the walk's
+    counters; ``states`` is 0, as no element pass runs.
     """
     walk = _Walk(d, max_space)
     closed = {c.edges: e for c, e in _cycles(walk, sorted(d.objects), 3) if c.length == 3}
@@ -513,7 +521,7 @@ def find_regular_3cycles(
             if tuple([f.table[v] for v in closed[names]]) == f.table:
                 out.append(RegularThreeCycle(f.dom, g.dom, h.dom, f, g, h))
                 break
-    return out
+    return ThreeCycleReport(tuple(out), *walk.counts())
 
 
 def is_cycle_morphism(m: FinMap, c1: RegularThreeCycle, c2: RegularThreeCycle) -> bool:

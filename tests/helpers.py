@@ -3,9 +3,10 @@
 Oracles here are deliberately naive (full enumeration, pointwise filters) so
 they stay independent of the library code paths they check.  The library
 runs none of this module: ``all_cycles`` lists the library walk's cycles for
-the tests, ``ybe_side_maps`` is the compositional route to the YBE, and
+the tests, ``ybe_side_maps`` is the compositional route to the YBE,
 ``row_major_branch`` is the YBE kernel as it was before it filled cells in
-shell order.
+shell order, and ``braiding_from_table`` builds a braiding from a bare table
+on fresh product carriers.
 """
 
 from itertools import islice, permutations, product
@@ -22,7 +23,7 @@ from regcat.braiding import (
     _ybe_sides,
     prebraid,
 )
-from regcat.core import FinMap, FiniteSet, compose, compose_path
+from regcat.core import FinMap, FiniteSet, ProductSet, compose, compose_path
 from regcat.diagrams import (
     CommutativityReport,
     Cycle,
@@ -42,6 +43,11 @@ def S(sid: str, n: int) -> FiniteSet:
 
 def fm(name, dom, cod, table) -> FinMap:
     return FinMap(name, dom, cod, tuple(table))
+
+
+def braiding_from_table(name: str, X: FiniteSet, Y: FiniteSet, table) -> Braiding:
+    dom, cod = ProductSet.of(X, Y), ProductSet.of(Y, X)
+    return Braiding(X, Y, fm(name, dom.carrier, cod.carrier, table))
 
 
 def maps_between(dom: FiniteSet, cod: FiniteSet, prefix="m") -> list[FinMap]:

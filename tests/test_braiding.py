@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     S,
+    braiding_from_table,
     fm,
     full_ybe_search,
     kernel_ybe_search,
@@ -35,7 +36,6 @@ from regcat.braiding import (
     _search_group,
     _stabilizer,
     _triples_from,
-    braiding_from_table,
     canonical_braiding_star,
     check_prebraid_regularity,
     check_regular_braiding,
@@ -79,8 +79,16 @@ class TestBraidingType:
 
     def test_wrong_carrier(self):
         X = ProductSet.of(A2, A2).carrier
-        with pytest.raises(TypeMismatch):
-            Braiding(A2, A2, fm("b", A2, X, (0, 1)))
+        for m, got in ((fm("b", A2, X, (0, 1)), "A->(AxA)"),
+                       (fm("b", X, A2, (0, 0, 0, 0)), "(AxA)->A")):
+            with pytest.raises(TypeMismatch) as exc:
+                Braiding(A2, A2, m)
+            assert str(exc.value) == f"expected object '(AxA)->(AxA)', got {got!r}"
+
+    def test_products_are_read_from_the_map(self):
+        assert SWAP.dom_product == ProductSet.of(A2, A2) == SWAP.cod_product
+        assert SWAP.dom_product.carrier is SWAP.map.dom
+        assert SWAP.cod_product.carrier is SWAP.map.cod
 
 
 class TestObstructorAssignment:
@@ -400,6 +408,23 @@ class TestSolveYbe:
         for spec in ("identity", ID2):
             problem = YbeProblem(A2, e_spec=spec, count_only=True)
             assert solve_ybe(problem).count == 43
+
+    @pytest.mark.parametrize("e_spec, bijective, count_only, count, calls", [
+        (fm("e", S("U", 3), S("U", 3), (0, 1, 0)), False, False, 38_483, 1),
+        ("all", True, False, 553, 1),
+        (fm("e", S("U", 3), S("U", 3), (0, 1, 0)), False, True, 38_483, 0),
+    ])
+    def test_a_listing_builds_one_pair_carrier(self, monkeypatch, e_spec, bijective,
+                                               count_only, count, calls):
+        # every listed braiding is a map on the same carrier of X⊗X, built
+        # once per solve; a count-only solve builds none
+        of, built = ProductSet.of, []
+        monkeypatch.setattr(ProductSet, "of", staticmethod(lambda *f: built.append(f) or of(*f)))
+        res = solve_ybe(YbeProblem(S("U", 3), e_spec=e_spec, require_bijective=bijective,
+                                   count_only=count_only))
+        assert (res.count, len(built)) == (count, calls)
+        carriers = {id(m) for b, _ in res.solutions for m in (b.map.dom, b.map.cod)}
+        assert len(carriers) == calls
 
     def test_deep_search_needs_no_recursion(self):
         # the all-zero table solves the identity, so the first 49 nodes go straight down

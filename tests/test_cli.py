@@ -185,6 +185,9 @@ class TestDiagramCommands:
         # the source and the target walk, 9 prefixes and 3 closed paths each
         (("functor", TRIANGLE, "--from", "D", "--to", "D", "--objects", "X=X,Y=Y,Z=Z",
           "--maps", "f=f,g=g,h=h", "--n", "3"), {"paths": 18, "cycles": 6, "states": 0}),
+        # one walk of three edges from each base closes the one rotation class 3 times
+        (("cycles3", TRIANGLE, "--name", "D"),
+         {"cycles3": 1, "paths": 9, "cycles": 3, "states": 0}),
         # p, q: A -> B disagree, so the pass stops after 4 states; the walk then
         # composes 8 prefixes to find the first disagreeing pair
         (("diagram", "<pq>", "--name", "D", "--mode", "commutative", "--max-len", "3"),

@@ -193,8 +193,10 @@ class TestObstructorsAndCommutativity:
 
 class TestRegularThreeCycles:
     def test_triangle_has_exactly_one(self):
-        cycles = find_regular_3cycles(TRI)
+        rep = find_regular_3cycles(TRI)
+        cycles = rep.found
         assert len(cycles) == 1
+        assert (rep.paths, rep.cycles, rep.states) == (9, 3, 0)
         c = cycles[0]
         assert (c.f.name, c.g.name, c.h.name) == ("f", "g", "h")
         assert c.obstructor.table == (0, 1, 1)
@@ -207,15 +209,15 @@ class TestRegularThreeCycles:
             RegularThreeCycle(A, A, A, sw, cn, sw)
 
     def test_identity_cycle_morphism(self):
-        c = find_regular_3cycles(TRI)[0]
+        c = find_regular_3cycles(TRI).found[0]
         assert is_cycle_morphism(identity(X), c, c)
 
     def test_obstructor_itself_is_morphism(self):
-        c = find_regular_3cycles(TRI)[0]
+        c = find_regular_3cycles(TRI).found[0]
         assert is_cycle_morphism(c.obstructor, c, c)
 
     def test_product_cycle(self):
-        c = find_regular_3cycles(TRI)[0]
+        c = find_regular_3cycles(TRI).found[0]
         p = product_3cycle(c, c)
         assert p.x.cardinality == 9
         assert p.obstructor == tensor(c.obstructor, c.obstructor)
@@ -379,7 +381,7 @@ class TestWalk:
         # all pairs of its 3,000 edges takes seconds, a walk milliseconds
         d = ring(3000)
         fd = FunctorData(d, d, {o: o for o in d.objects}, {e: e for e in d.edges})
-        for check, empty in ((lambda: find_regular_3cycles(d), []),
+        for check, empty in ((lambda: find_regular_3cycles(d).found, ()),
                              (lambda: check_regular_functor(fd, 1).violations, ())):
             start = time.perf_counter()
             assert check() == empty
@@ -542,7 +544,7 @@ def test_regular_3cycles_match_oracle(d):
     def summary(cycles):
         return [((c.f.name, c.g.name, c.h.name), c.obstructor.table) for c in cycles]
 
-    assert summary(find_regular_3cycles(d)) == summary(oracle_regular_3cycles(d))
+    assert summary(find_regular_3cycles(d).found) == summary(oracle_regular_3cycles(d))
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,8 +7,8 @@ import pickle
 
 import pytest
 
-from helpers import S, fm
-from regcat.braiding import Braiding, ObstructorAssignment, YbeProblem, braiding_from_table
+from helpers import S, braiding_from_table, fm
+from regcat.braiding import Braiding, ObstructorAssignment, YbeProblem
 from regcat.cli import Report
 from regcat.core import FinMap, FiniteSet, ProductSet, Subset, _Record, compose, identity
 from regcat.diagrams import (
@@ -17,6 +17,7 @@ from regcat.diagrams import (
     ObstructionReport,
     RegularThreeCycle,
     SemicommutativityReport,
+    ThreeCycleReport,
 )
 from regcat.dsl import Workspace
 from regcat.errors import DuplicateAssignment, MissingAssignment, TypeMismatch, UnknownLabel
@@ -51,7 +52,8 @@ def test_walk_reports_compare_without_their_counters():
     for report, verdict in ((CommutativityReport, (True, ())),
                             (SemicommutativityReport, (False, (("absorption", None, "f"),))),
                             (ObstructionReport, (2, None)),
-                            (FunctorReport, (True, False, (("identity", "i"),)))):
+                            (FunctorReport, (True, False, (("identity", "i"),))),
+                            (ThreeCycleReport, ((),))):
         counted, bare = report(*verdict, paths=5, cycles=3), report(*verdict)
         assert counted == bare and not counted != bare and hash(counted) == hash(bare)
         assert (counted.paths, counted.cycles, bare.paths, bare.cycles) == (5, 3, 0, 0)
