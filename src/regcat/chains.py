@@ -95,7 +95,8 @@ def check_chain(c: StarChain) -> ChainVerdict:
     """Closure verdict for every prefix order of the tower.
 
     The prefix composite s1∘...∘sk is carried from order k to k+1, so an
-    order-n tower takes O(n) composes.
+    order-n tower takes O(n) composes.  ``failures`` holds one entry per
+    failing order k, by k.
     """
     odd: Optional[bool] = None
     even: Optional[bool] = None

@@ -29,16 +29,6 @@ if TYPE_CHECKING:
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 
-# json.dumps(w, sort_keys=True) from one C encoder, made once rather than per witness
-_sorted_json = json.encoder.c_make_encoder(
-    None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", ", ", True, False, True
-)
-
-
-def _witness_key(w) -> str:
-    return "".join(_sorted_json(w, 0))
-
-
 _CONTAINERS = (list, tuple, dict)
 
 
@@ -125,7 +115,7 @@ class Report(_Record):
             "command": self.command,
             "ok": self.ok,
             "result": self.result,
-            "witnesses": sorted(self.witnesses, key=_witness_key),
+            "witnesses": self.witnesses,
             "counts": self.counts,
         }
         return _indented_json(payload)
@@ -419,8 +409,13 @@ def _cmd_ybe(ws: Optional[Workspace], ns) -> Report:
         entries = ns.e[len("table:"):].split(",")
         if len(entries) != ns.size:
             raise UsageError(f"--e table has {len(entries)} entries, expected {ns.size}")
+        try:
+            table = tuple(int(v) for v in entries)
+        except ValueError:  # int() refuses more digits than the interpreter's limit
+            raise UsageError(f"--e table has an entry of more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
     carrier = FiniteSet("X", tuple(f"x{i}" for i in range(ns.size)))
-    e_spec = ns.e if named else FinMap("e", carrier, carrier, tuple(int(v) for v in entries))
+    e_spec = ns.e if named else FinMap("e", carrier, carrier, table)
     problem = br.YbeProblem(
         carrier=carrier,
         e_spec=e_spec,

@@ -573,6 +573,10 @@ def check_regular_functor(
     obstructor of every target cycle of the same length at the image object;
     verdicts are reported per pair since no selection rule is available when
     several cycles share a base.
+
+    Violations come composition first, by the three names, then identity, by
+    edge name, then obstructor, by source cycle (length, base, path), then
+    target cycle (length, base, path).
     """
     src, tgt = fd.source, fd.target
     for oid in src.objects:

@@ -1,5 +1,6 @@
 """Exception hierarchy shared by all regcat modules."""
 
+import sys
 from math import prod
 
 
@@ -55,6 +56,14 @@ class SearchSpaceTooLarge(RegcatError):
         super().__init__(f"{msg}; {hint}" if hint else msg)
 
 
+def _decimal(n: int) -> str:
+    """``n`` in decimal, or ``<more than L digits>`` past ``str``'s limit of L digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<more than {sys.get_int_max_str_digits()} digits>"
+
+
 def refuse_large_space(powers, bound: int, unit: str) -> None:
     """Raise SearchSpaceTooLarge if the product of b**e over ``powers`` exceeds ``bound``.
 
@@ -68,7 +77,7 @@ def refuse_large_space(powers, bound: int, unit: str) -> None:
         exceeds = (sum(e for b, e in powers if b > 1) >= bound.bit_length()
                    or prod(b**e for b, e in powers) > bound)
     if exceeds:
-        shown = "*".join(f"{b}^{e}" for b, e in powers if e) or "1"
+        shown = "*".join(f"{b}^{_decimal(e)}" for b, e in powers if e) or "1"
         raise SearchSpaceTooLarge(shown, bound, unit, "pass a limit to truncate")
 
 

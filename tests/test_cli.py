@@ -449,9 +449,9 @@ class TestFailureWitnesses:
                    "--maps", "i=k,t=w", "--n", "2"],
          {"from": "S", "to": "T", "n": 2, "composition_preserved": False,
           "e_preserved": False},
-         [{"kind": "composition", "edges": ["t", "t"], "composite": "i"},
-          {"kind": "composition", "edges": ["i", "t"], "composite": "t"},
+         [{"kind": "composition", "edges": ["i", "t"], "composite": "t"},
           {"kind": "composition", "edges": ["t", "i"], "composite": "t"},
+          {"kind": "composition", "edges": ["t", "t"], "composite": "i"},
           {"kind": "identity", "edge": "i"},
           {"kind": "obstructor", "source_cycle": _cycle("A", "i", "t"),
            "target_cycle": _cycle("B", "w", "k")},
@@ -486,6 +486,41 @@ class TestFailureWitnesses:
         report = {"command": argv[0], "ok": False, "result": result,
                   "witnesses": witnesses, "counts": counts}
         assert (code, out) == (1, json.dumps(report, indent=2) + "\n")
+
+
+# the constant a absorbs every obstructor and the swap b none: each of the
+# cycles [a], [b], [a, b] and [b, a] fails at b, and [a, b] begins with [a]
+LOOPS = """set X = { x0, x1 }
+map a : X -> X { x0 -> x0, x1 -> x0 }
+map b : X -> X { x0 -> x1, x1 -> x0 }
+diagram L { a, b }
+"""
+
+# the tower u, k, v over f fails at orders 1 and 3 at c, and at order 2 at q
+CHAIN = """set X = { a, b, c }
+set Y = { p, q }
+map f : X -> Y { a -> p, b -> p, c -> q }
+map u : Y -> X { p -> a, q -> b }
+map k : X -> Y { a -> p, b -> p, c -> p }
+map v : Y -> X { p -> a, q -> a }
+"""
+
+
+@pytest.mark.parametrize("workspace, argv, failures", [
+    (LOOPS, ["diagram", "--name", "L", "--mode", "semicommutative", "--max-len", "2"], 4),
+    (CHAIN, ["chain", "--map", "f", "--n", "3", "--stars", "u,k,v"], 3),
+    (FUNCTOR, ["functor", "--from", "S", "--to", "T", "--objects", "A=B",
+               "--maps", "i=k,t=w", "--n", "2"], 6),
+], ids=["diagram", "chain", "functor"])
+def test_json_lists_the_witnesses_in_the_order_of_the_text(workspace, argv, failures,
+                                                           tmp_path, capsys):
+    path = tmp_path / "w.rcw"
+    path.write_text(workspace)
+    code, text = run(capsys, argv[0], str(path), *argv[1:])
+    _, rep = run_json(capsys, argv[0], str(path), *argv[1:])
+    lines = [line for line in text.splitlines() if line.startswith("  witness: ")]
+    assert code == 1 and len(lines) == failures
+    assert [f"  witness: {w}" for w in rep["witnesses"]] == lines
 
 
 class TestTopLevel:
@@ -563,26 +598,6 @@ class TestTopLevel:
         assert out1 == out2
 
 
-def _json_containers(inner):
-    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
-    | st.floats(allow_nan=False, allow_infinity=False),
-    _json_containers,
-    max_leaves=8,
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=3), max_size=8))
-def test_witnesses_sort_by_their_sorted_json(witnesses):
-    # the report's shared encoder orders them as json.dumps(w, sort_keys=True) does
-    listed = json.loads(Report("c", {}, witnesses).to_json())["witnesses"]
-    assert listed == sorted(witnesses, key=lambda w: json.dumps(w, sort_keys=True))
-
-
 SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
     | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, "\u00e9\U0001f600",
@@ -604,12 +619,21 @@ def _values(keys):
     return st.recursive(SCALARS, _containers_with(keys), max_leaves=10)
 
 
+WITNESSES = st.lists(st.dictionaries(ANY_KEYS, _values(ANY_KEYS), max_size=3), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(WITNESSES)
+def test_json_report_keeps_the_witnesses_order(witnesses):
+    # read back, the report's witnesses are json's reading of them, in the same order
+    listed = json.loads(Report("c", {}, witnesses).to_json())["witnesses"]
+    assert json.dumps(listed) == json.dumps(json.loads(json.dumps(witnesses)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.dictionaries(ANY_KEYS, _values(ANY_KEYS), max_size=4),
-    # sort_keys needs keys of one type, so the witnesses' keys are str
-    st.lists(st.dictionaries(st.text(max_size=3), _values(st.text(max_size=3)), max_size=3),
-             max_size=6),
+    WITNESSES,
     st.dictionaries(ANY_KEYS, _values(ANY_KEYS), max_size=2),
 )
 def test_json_report_is_the_indented_dump(result, witnesses, counts):
@@ -617,7 +641,7 @@ def test_json_report_is_the_indented_dump(result, witnesses, counts):
         "command": "c",
         "ok": not witnesses,
         "result": result,
-        "witnesses": sorted(witnesses, key=lambda w: json.dumps(w, sort_keys=True)),
+        "witnesses": witnesses,
         "counts": counts,
     }
     assert Report("c", result, witnesses, counts).to_json() == json.dumps(payload, indent=2)
@@ -794,6 +818,20 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"error: search space of {shown} candidate "
                                        f"{'maps' if argv[0] == 'inverses' else 'towers'} exceeds "
                                        "the bound 100000000; pass a limit to truncate\n")
+
+    def test_an_integer_past_the_digit_limit_ends_in_one_error_line(self, capsys):
+        # int() reads and str() writes at most `digits` digits
+        digits = sys.get_int_max_str_digits()
+        entry = "9" * (digits + 700)
+        assert main(["ybe", "--size", "1", "--mode", "regular", "--e", f"table:{entry}"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: --e table has an entry of more than {digits} digits\n")
+        # both exponents of the tower space have more digits than --n
+        assert main(["chain", MAPS, "--map", "f", "--n", "9" * digits, "--search"]) == 3
+        huge = f"<more than {digits} digits>"
+        assert capsys.readouterr() == (
+            "", f"error: search space of 3^{huge}*2^{huge} candidate towers exceeds the bound "
+            "100000000; pass a limit to truncate\n")
 
     def test_out_of_memory_is_a_resource_error(self, monkeypatch, capsys):
         def exhausted(ws, ns):
