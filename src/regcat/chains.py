@@ -16,7 +16,6 @@ makes the level-by-level construction in ``find_chains`` sound.
 
 from __future__ import annotations
 
-import sys
 from typing import Iterator, NamedTuple, Optional
 
 from .core import FinMap, all_maps, compose, compose_path, fibre_columns
@@ -170,13 +169,17 @@ def find_chains(
     Each level builds only the stars that keep the prefix valid
     (``_next_stars``), so every emitted chain passes check_chain and no
     candidate is rejected.  Results come in lexicographic order of the
-    concatenated star tables.  Without a limit, SearchSpaceTooLarge is
-    raised when the product of the n map spaces, |X|^|Y| at odd levels and
-    |Y|^|X| at even ones, exceeds max_space: the bound guards the size of
-    that space, not the number of tables built.  With a limit the space is
-    not sized; SearchSpaceTooLarge is raised once the search has built more
-    than max_space star tables, and otherwise at most `limit` towers are
-    returned, flagged truncated exactly when a further one exists.
+    concatenated star tables.
+
+    max_space bounds the star tables built: SearchSpaceTooLarge is raised
+    once more than max_space are built.  Towers have no closed count, so
+    without a limit the tower space, the product of the n map spaces
+    (|X|^|Y| at odd levels, |Y|^|X| at even ones), is refused first when it
+    exceeds max_space.  When f has an inner inverse it has a tower of every
+    order, of n tables each, so n > max_space is refused before any table
+    is built, with the error the search would raise.  With a limit at most
+    `limit` towers are returned, flagged truncated exactly when a further
+    one exists.
     """
     if n < 1:
         raise ValueError("chain order must be >= 1")
@@ -184,14 +187,15 @@ def find_chains(
     if limit is None:
         refuse_large_space([(nx, ny * ((n + 1) // 2)), (ny, nx * (n // 2))], max_space,
                            "candidate towers")
-    bound = sys.maxsize if limit is None else max_space
+    if n > max_space and (nx > 0 or ny == 0):  # f has an inner inverse
+        raise SearchSpaceTooLarge(max_space + 1, max_space, "star tables")
     stop = None if limit is None else limit + 1
     found: list[StarChain] = []
     nodes = 0
     stars: list[FinMap] = []
     heads: list[tuple[int, ...]] = []  # heads[i]: the table of s1∘...∘s(i+1)
     levels = [_next_stars(f, stars, None)]  # levels[-1] offers the star after ``stars``
-    while levels and len(found) != stop and nodes <= bound:
+    while levels and len(found) != stop and nodes <= max_space:
         s = next(levels[-1], None)
         if s is None:
             levels.pop()
@@ -206,8 +210,8 @@ def find_chains(
             stars.append(s)
             heads.append(tuple([heads[-1][v] for v in s.table]) if heads else s.table)
             levels.append(_next_stars(f, stars, heads[-1]))
-    if nodes > bound:
-        raise SearchSpaceTooLarge(nodes, bound, "star tables")
+    if nodes > max_space:
+        raise SearchSpaceTooLarge(nodes, max_space, "star tables")
     truncated = limit is not None and len(found) > limit
     return ChainSearchResult(found[:limit], truncated, nodes)
 

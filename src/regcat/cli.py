@@ -460,7 +460,8 @@ POSITIVE = _int_at_least(1)
 
 # arguments that several subcommands take, each as (flag, add_argument keywords)
 _MAX_SPACE = ("--max-space", {"type": NON_NEGATIVE, "default": inverses.DEFAULT_MAX_SPACE,
-                              "help": "bound on exhaustive search spaces"})
+                              "help": "bound on what a search builds: tables, entries, "
+                                      "states or paths"})
 _FILE = ("file", {"help": "workspace file"})
 _MAP = ("--map", {"required": True})
 _NAME = ("--name", {"required": True})

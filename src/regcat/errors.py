@@ -52,7 +52,7 @@ class SearchSpaceTooLarge(RegcatError):
     def __init__(self, size, bound, unit, hint=None):
         self.size = size
         self.bound = bound
-        msg = f"search space of {size} {unit} exceeds the bound {bound}"
+        msg = f"search space of {_decimal(size)} {unit} exceeds the bound {bound}"
         super().__init__(f"{msg}; {hint}" if hint else msg)
 
 

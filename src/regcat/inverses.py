@@ -10,7 +10,9 @@ inverses exist and whether the generalized one is unique.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from itertools import islice
+from math import prod
 from typing import Iterator, NamedTuple, Optional
 
 from .core import FinMap, all_maps, classify_map, compose, fibre_columns
@@ -19,7 +21,6 @@ from .errors import (
     NotAnInnerInverse,
     SearchSpaceTooLarge,
     TypeMismatch,
-    refuse_large_space,
 )
 
 INVERSE_KINDS = ("inner", "outer", "generalized")
@@ -122,6 +123,32 @@ class _OuterTables:
         self.nodes = nodes
 
 
+def count_inverses(f: FinMap, kind: str) -> int:
+    """The number of inverses of the given kind, from the fibre sizes of f.
+
+    With n_y = |f⁻¹(y)| for y in im f, m = |im f| and Y = cod(f):
+    inner ∏n_y · |X|^(|Y|−m), generalized ∏n_y · m^(|Y|−m), and outer
+    Σₖ eₖ · k^(|Y|−k) over k = 0..m, where eₖ is the k-th elementary
+    symmetric sum of the n_y.  An outer inverse g is fixed by its image A:
+    g∘f fixes A, so f is injective on A, g sends f(a) to a, and every other
+    point of Y goes into A; eₖ counts the sets A of size k on which f is
+    injective.  The k = 0 term counts the empty map when Y is empty.
+    O(|X| + m²) operations.
+    """
+    if kind not in INVERSE_KINDS:
+        raise ValueError(f"unknown inverse kind {kind!r}")
+    ny = f.cod.cardinality
+    fibres = list(Counter(f.table).values())
+    m = len(fibres)
+    if kind != "outer":
+        return prod(fibres) * (f.dom.cardinality if kind == "inner" else m) ** (ny - m)
+    e = [1] + [0] * m
+    for i, n in enumerate(fibres, start=1):
+        for k in range(i, 0, -1):
+            e[k] += e[k - 1] * n
+    return sum(e[k] * k ** (ny - k) for k in range(m + 1))
+
+
 def enumerate_inverses(
     f: FinMap,
     kind: str,
@@ -136,33 +163,37 @@ def enumerate_inverses(
     (``_OuterTables``); generalized ones from the same search with the
     value at each y of im f taken from the fibre f⁻¹(y).
 
-    Without a limit the count is exact, and SearchSpaceTooLarge is raised
-    when |dom|^|cod| exceeds max_space: the bound guards the size of the map
-    space, not the number of tables built.  With a limit the space is not
-    sized; SearchSpaceTooLarge is raised once the search has built more than
-    max_space nodes, and otherwise at most `limit` inverses are returned,
+    max_space bounds the nodes the search builds: the tables for inner
+    inverses, the table entries for outer and generalized ones.
+    SearchSpaceTooLarge is raised once the search has built more than
+    max_space nodes.  Without a limit the count is exact, and since every
+    inverse costs at least one node, the search is refused before it
+    starts when ``count_inverses`` exceeds max_space.  With a limit nothing
+    is counted in advance, and at most `limit` inverses are returned,
     flagged truncated exactly when a further one exists.
     """
     if kind not in INVERSE_KINDS:
         raise ValueError(f"unknown inverse kind {kind!r}")
     if limit is None:
-        refuse_large_space([(f.dom.cardinality, f.cod.cardinality)], max_space, "candidate maps")
-    bound = sys.maxsize if limit is None else max_space
+        count = count_inverses(f, kind)
+        if count > max_space:
+            raise SearchSpaceTooLarge(count, max_space, f"{kind} inverses",
+                                      "pass a limit to truncate")
     stop = None if limit is None else limit + 1
     columns = fibre_columns(f.table, f.cod.cardinality, f.table)
     if kind == "inner":
         # each table is a node, so one past the bound is the last one built
         tables = all_maps(f.cod, f.dom, f"{f.name}_inv", columns)
-        found = list(islice(tables, None if limit is None else min(limit, bound) + 1))
+        found = list(islice(tables, max_space + 1 if stop is None else min(stop, max_space + 1)))
         nodes = len(found)
     else:
-        search = _OuterTables(f, columns if kind == "generalized" else None, bound)
+        search = _OuterTables(f, columns if kind == "generalized" else None, max_space)
         found = [FinMap(f"{f.name}_inv{k}", f.cod, f.dom, t)
                  for k, t in enumerate(islice(search, stop))]
         nodes = search.nodes
-    if nodes > bound:
+    if nodes > max_space:
         unit = "inverse tables" if kind == "inner" else "table entries"
-        raise SearchSpaceTooLarge(nodes, bound, unit)
+        raise SearchSpaceTooLarge(nodes, max_space, unit)
     truncated = limit is not None and len(found) > limit
     found = found[:limit]
     return InverseEnumeration(found, len(found), truncated, nodes)
@@ -254,7 +285,6 @@ def closure_composite(f: FinMap, fstar: FinMap, g: FinMap, gstar: FinMap) -> Clo
 def unique_generalized_inverse(f: FinMap) -> bool:
     """True iff exactly one map satisfies both regularity equations for f.
 
-    The search stops at a second inverse, so no map space is sized.
+    That is, ``count_inverses(f, "generalized")`` is 1; nothing is searched.
     """
-    first = enumerate_inverses(f, "generalized", limit=1)
-    return first.count == 1 and not first.truncated
+    return count_inverses(f, "generalized") == 1

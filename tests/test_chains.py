@@ -210,6 +210,35 @@ class TestFindChains:
         with pytest.raises(AssertionError, match="sized"):
             find_chains(F, 3, max_space=0)
 
+    def test_an_order_past_the_bound_is_refused_before_any_table(self, monkeypatch):
+        # a tower of order n holds n star tables, and f has one of every order
+        def unreachable(*args):
+            raise AssertionError("a star table was built")
+
+        monkeypatch.setattr(chains, "_next_stars", unreachable)
+        point = fm("f", S("X", 1), S("Y", 1), (0,))
+        for f, limit in ((F, 0), (F, 5), (point, None)):
+            with pytest.raises(SearchSpaceTooLarge) as info:
+                find_chains(f, 11, limit=limit, max_space=10)
+            assert str(info.value) == "search space of 11 star tables exceeds the bound 10"
+
+    def test_without_a_limit_the_nodes_are_bounded_too(self):
+        # the tower space of a point is 1, but each order adds a star table
+        point = fm("f", S("X", 1), S("Y", 1), (0,))
+        assert find_chains(point, 10, max_space=10).nodes == 10
+        # g: 2 -> 1 has 2^1 * 1^2 = 2 towers of order 2 in its space, built in 4 tables
+        g = fm("g", S("X", 2), S("Y", 1), (0, 0))
+        assert find_chains(g, 2, max_space=4).nodes == 4
+        with pytest.raises(SearchSpaceTooLarge) as info:
+            find_chains(g, 2, max_space=3)
+        assert str(info.value) == "search space of 4 star tables exceeds the bound 3"
+
+    @pytest.mark.parametrize("limit", [None, 0])
+    def test_a_map_without_inner_inverses_has_no_tower_of_any_order(self, limit):
+        f = fm("f", S("E", 0), S("Y", 1), ())
+        r = find_chains(f, 10**9, limit=limit)
+        assert r.chains == [] and r.nodes == 0 and not r.truncated
+
     def test_a_deep_tower_under_a_limit_takes_linear_memory(self):
         # the prefix composites are kept as tables, not as maps whose names
         # nest every earlier star's name

@@ -80,8 +80,9 @@ class TestInverses:
         assert "inverses" not in rep["result"]
 
     def test_max_space_exit3(self, capsys):
+        # f has 2 inner inverses
         code, _ = run(
-            capsys, "inverses", MAPS, "--map", "f", "--kind", "inner", "--max-space", "2"
+            capsys, "inverses", MAPS, "--map", "f", "--kind", "inner", "--max-space", "1"
         )
         assert code == 3
 
@@ -730,6 +731,17 @@ def test_a_large_report_is_written_without_the_encoder_chunks():
 
 NOT_UTF8 = "<a workspace file that is not UTF-8>"
 
+
+def twelve(tmp_path) -> str:
+    """A workspace with the identity ``id`` and the constant map ``c`` on 12 elements."""
+    xs = [f"x{i}" for i in range(12)]
+    ws = tmp_path / "twelve.rcw"
+    ws.write_text(f"set X = {{ {', '.join(xs)} }}\n"
+                  f"map id : X -> X {{ {', '.join(f'{x} -> {x}' for x in xs)} }}\n"
+                  f"map c : X -> X {{ {', '.join(f'{x} -> x0' for x in xs)} }}\n")
+    return str(ws)
+
+
 # a search under --limit is not sized; it stops at one node past --max-space
 INVERSES_LIMITED = ("inverses", MAPS, "--map", "f", "--kind", "inner", "--limit", "5")
 CHAIN_LIMITED = ("chain", MAPS, "--map", "f", "--n", "100000", "--search", "--limit", "0")
@@ -771,8 +783,8 @@ class TestExitCodes:
          "9 path prefixes exceeds the bound 8\n"),
         (("ybe", "--size", "2", "--mode", "classical", "--count-only", "--max-space", "3"),
          "4 candidate tables exceeds the bound 3\n"),
-        (("inverses", MAPS, "--map", "f", "--kind", "inner", "--max-space", "2"),
-         "3^2 candidate maps exceeds the bound 2; pass a limit to truncate\n"),
+        (("inverses", MAPS, "--map", "f", "--kind", "inner", "--max-space", "1"),
+         "2 inner inverses exceeds the bound 1; pass a limit to truncate\n"),
         (("chain", MAPS, "--map", "f", "--n", "2", "--search", "--max-space", "2"),
          "3^2*2^3 candidate towers exceeds the bound 2; pass a limit to truncate\n"),
         (("diagram", TRIANGLE, "--name", "D", "--mode", "semicommutative", "--max-len", "3",
@@ -803,21 +815,73 @@ class TestExitCodes:
          "3^9007199254740992*2^13510798882111488"),
         (("chain", MAPS, "--map", "f", "--n", str(10**30), "--search"),
          "3^1000000000000000000000000000000*2^1500000000000000000000000000000"),
-        # one candidate map per map from the 16,000-element codomain
-        (("inverses", "<wide>", "--map", "f", "--kind", "inner"), "2^16000"),
-        (("inverses", "<wide>", "--map", "f", "--kind", "generalized"), "2^16000"),
     ])
-    def test_a_large_space_is_shown_as_exact_powers(self, argv, shown, tmp_path, capsys):
+    def test_a_large_space_is_shown_as_exact_powers(self, argv, shown, capsys):
+        t = time.perf_counter()
+        assert main(list(argv)) == 3
+        assert time.perf_counter() - t < 0.5
+        assert capsys.readouterr() == ("", f"error: search space of {shown} candidate towers "
+                                       "exceeds the bound 100000000; pass a limit to truncate\n")
+
+    @pytest.mark.parametrize("kind", ["inner", "outer", "generalized"])
+    def test_a_large_inverse_count_is_refused_at_once(self, kind, tmp_path, capsys):
+        # f: 2 -> 16,000 has 2^15998 inner and generalized inverses and
+        # 2 + 2^15998 outer ones, each more digits than Python writes
         wide = tmp_path / "wide.rcw"
         codomain = ", ".join(f"b{i}" for i in range(16_000))
         wide.write_text(f"set A = {{ a0, a1 }}\nset B = {{ {codomain} }}\n"
                         "map f : A -> B { a0 -> b0, a1 -> b1 }\n")
         t = time.perf_counter()
-        assert main([str(wide) if a == "<wide>" else a for a in argv]) == 3
+        assert main(["inverses", str(wide), "--map", "f", "--kind", kind]) == 3
         assert time.perf_counter() - t < 0.5
-        assert capsys.readouterr() == ("", f"error: search space of {shown} candidate "
-                                       f"{'maps' if argv[0] == 'inverses' else 'towers'} exceeds "
-                                       "the bound 100000000; pass a limit to truncate\n")
+        digits = sys.get_int_max_str_digits()
+        assert capsys.readouterr() == (
+            "", f"error: search space of <more than {digits} digits> {kind} inverses exceeds "
+            "the bound 100000000; pass a limit to truncate\n")
+
+    # the identity and a constant map on 12 elements: 12^12 maps each
+    @pytest.mark.parametrize("name, kind, found, nodes", [
+        ("id", "inner", 1, 1),
+        ("id", "generalized", 1, 12),
+        ("c", "outer", 12, 1596),
+        ("c", "generalized", 12, 1596),
+    ])
+    def test_a_few_inverses_of_a_large_space_are_listed(self, name, kind, found, nodes,
+                                                         tmp_path, capsys):
+        t = time.perf_counter()
+        code, rep = run_json(capsys, "inverses", twelve(tmp_path), "--map", name, "--kind", kind)
+        assert time.perf_counter() - t < 0.5
+        assert code == 0 and (rep["counts"]["inverses"], rep["counts"]["nodes"]) == (found, nodes)
+        assert len(rep["result"]["inverses"]) == found
+
+    @pytest.mark.parametrize("name, kind, count", [
+        ("id", "outer", 157_329_097),
+        ("c", "inner", 12**12),
+    ])
+    def test_many_inverses_of_a_large_space_are_refused_at_once(self, name, kind, count,
+                                                                tmp_path, capsys):
+        t = time.perf_counter()
+        assert main(["inverses", twelve(tmp_path), "--map", name, "--kind", kind]) == 3
+        assert time.perf_counter() - t < 0.5
+        assert capsys.readouterr() == (
+            "", f"error: search space of {count} {kind} inverses exceeds the bound 100000000; "
+            "pass a limit to truncate\n")
+
+    def test_an_order_past_the_bound_is_refused_before_any_table(self, monkeypatch, capsys):
+        # f has an inner inverse, so a tower of every order; each of order n
+        # holds n star tables, so the search would stop at one past the bound
+        from regcat import chains
+
+        def unreachable(*args):
+            raise AssertionError("a star table was built")
+
+        monkeypatch.setattr(chains, "_next_stars", unreachable)
+        t = time.perf_counter()
+        argv = ["chain", MAPS, "--map", "f", "--n", "1000000000", "--search", "--limit", "0"]
+        assert main(argv) == 3
+        assert time.perf_counter() - t < 0.5
+        assert capsys.readouterr() == (
+            "", "error: search space of 100000001 star tables exceeds the bound 100000000\n")
 
     def test_an_integer_past_the_digit_limit_ends_in_one_error_line(self, capsys):
         # int() reads and str() writes at most `digits` digits

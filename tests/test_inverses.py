@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import S, fm, generalized_pairs, maps_between, naive_inverses, sizes_upto
+from regcat import inverses
 from regcat.core import classify_map, compose, identity
 from regcat.errors import (
     NoInverseExists,
@@ -11,6 +13,7 @@ from regcat.errors import (
 from regcat.inverses import (
     INVERSE_KINDS,
     closure_composite,
+    count_inverses,
     enumerate_inverses,
     generalized_from_inner,
     invertibility_class,
@@ -77,19 +80,35 @@ class TestEnumerate:
         res = enumerate_inverses(F, "outer", limit=2)
         assert res.count == 2 and res.truncated
 
-    def test_space_bound(self):
-        with pytest.raises(SearchSpaceTooLarge):
-            enumerate_inverses(F, "inner", max_space=5)
+    def test_space_bound(self, monkeypatch):
+        # a bound below the inverse count refuses before any table is built
+        def unreachable(*args):
+            raise AssertionError("the search started")
 
-    @pytest.mark.parametrize("kind", INVERSE_KINDS)
-    def test_space_is_dom_to_the_cod(self, kind):
-        # the 3^2 maps Y2 -> X3
+        monkeypatch.setattr(inverses, "all_maps", unreachable)
+        monkeypatch.setattr(inverses, "_OuterTables", unreachable)
+        for kind, count in (("inner", 2), ("outer", 5), ("generalized", 2)):
+            with pytest.raises(SearchSpaceTooLarge, match=f"^search space of {count} {kind} "):
+                enumerate_inverses(F, kind, max_space=count - 1)
+
+    @pytest.mark.parametrize("kind, count, nodes", [
+        ("inner", 2, 2), ("outer", 5, 12), ("generalized", 2, 4),
+    ])
+    def test_inverse_count_and_nodes_are_bounded(self, kind, count, nodes):
+        # the 3^2 maps Y2 -> X3 are not sized: a bound below the inverse count
+        # refuses at once, and one below the nodes refuses as the search runs
         with pytest.raises(SearchSpaceTooLarge) as info:
-            enumerate_inverses(F, kind, max_space=8)
-        assert str(info.value) == ("search space of 3^2 candidate maps exceeds the bound 8; "
-                                   "pass a limit to truncate")
-        assert enumerate_inverses(F, kind, max_space=9) == enumerate_inverses(F, kind)
-        assert enumerate_inverses(F, kind, limit=1, max_space=8).count == 1
+            enumerate_inverses(F, kind, max_space=count - 1)
+        assert str(info.value) == (f"search space of {count} {kind} inverses exceeds the bound "
+                                   f"{count - 1}; pass a limit to truncate")
+        full = enumerate_inverses(F, kind, max_space=nodes)
+        assert full == enumerate_inverses(F, kind)
+        assert (full.count, full.nodes) == (count, nodes)
+        if nodes > count:
+            with pytest.raises(SearchSpaceTooLarge) as info:
+                enumerate_inverses(F, kind, max_space=nodes - 1)
+            assert str(info.value) == (f"search space of {nodes} table entries exceeds the bound "
+                                       f"{nodes - 1}")
 
     def test_matches_naive_filter(self):
         for nx in range(1, 4):
@@ -308,6 +327,32 @@ class TestUniqueGeneralized:
 
     def test_a_large_constant_map_is_answered_at_its_second_inverse(self):
         assert not unique_generalized_inverse(fm("c", S("X", 12), S("X", 12), (0,) * 12))
+
+
+# every map f: X -> Y with |X|, |Y| <= 5 (only the empty one when Y is empty)
+MAPS_UP_TO_5 = st.integers(0, 5).flatmap(
+    lambda ny: st.lists(st.integers(0, max(ny - 1, 0)), max_size=5 if ny else 0).map(
+        lambda t: fm("f", S("X", len(t)), S("Y", ny), tuple(t))))
+
+
+class TestCountInverses:
+    """The closed forms of ``count_inverses`` against the naive sweep and the search."""
+
+    def test_equals_the_naive_sweep(self):
+        for nx in sizes_upto(3, include_empty=True):
+            for ny in sizes_upto(3, include_empty=True):
+                for f in maps_between(S("X", nx), S("Y", ny)):
+                    for kind in INVERSE_KINDS:
+                        assert count_inverses(f, kind) == len(naive_inverses(f, kind)), (
+                            f.table, kind)
+
+    @given(MAPS_UP_TO_5, st.sampled_from(INVERSE_KINDS))
+    def test_equals_the_search(self, f, kind):
+        assert count_inverses(f, kind) == enumerate_inverses(f, kind).count
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            count_inverses(F, "left")
 
 
 class TestInnerCountFormula:

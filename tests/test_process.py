@@ -69,7 +69,7 @@ def wide_inverses(tmp_path) -> list[str]:
     (("diagram", TRIANGLE, "--name", "D", "--mode", "commutative", "--max-len", "3"), 1),
     (("check-map", MAPS, "--map", "f", "--bogus"), 2),
     (("check-map", str(ROOT / "fixtures" / "missing.rcw"), "--map", "f"), 2),
-    (("inverses", MAPS, "--map", "f", "--kind", "inner", "--max-space", "2"), 3),
+    (("inverses", MAPS, "--map", "f", "--kind", "inner", "--max-space", "1"), 3),
     (("--help",), 0),
     (("ybe", "--help"), 0),
 ], ids=["holds", "json", "fails", "bad-flag", "unreadable", "refused", "help", "sub-help"])
